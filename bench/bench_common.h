@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/grouting.h"
@@ -73,20 +74,21 @@ inline const std::vector<RoutingSchemeKind>& AllSchemes() {
   return kSchemes;
 }
 
-inline void SetCounters(benchmark::State& state, const ClusterMetrics& m) {
-  state.counters["throughput_qps"] = m.throughput_qps;
-  state.counters["response_ms"] = m.mean_response_ms;
-  state.counters["p50_response_ms"] = m.p50_response_ms;
-  state.counters["p95_response_ms"] = m.p95_response_ms;
-  state.counters["p99_response_ms"] = m.p99_response_ms;
-  state.counters["p999_response_ms"] = m.p999_response_ms;
-  state.counters["hit_rate_pct"] = 100.0 * m.CacheHitRate();
-  state.counters["cache_hits"] = static_cast<double>(m.cache_hits);
-  state.counters["cache_misses"] = static_cast<double>(m.cache_misses);
-  state.counters["steals"] = static_cast<double>(m.steals);
-  state.counters["compression_ratio"] = m.adjacency_compression_ratio;
-  state.counters["cache_entries"] = static_cast<double>(m.cache_entries);
-  state.counters["decompress_us"] = m.decompress_us;
+// Benchmark counters: the paper's headline metrics plus the `extra` keys a
+// bench reports, each read from its ClusterMetricFields() row.
+inline void SetCounters(benchmark::State& state, const ClusterMetrics& m,
+                        std::initializer_list<std::string_view> extra = {}) {
+  static constexpr std::string_view kHeadline[] = {
+      "throughput_qps",  "mean_response_ms", "p50_response_ms", "p95_response_ms",
+      "p99_response_ms", "p999_response_ms", "hit_rate",        "cache_hits",
+      "cache_misses",    "steals",           "cache_entries",   "decompress_us",
+      "adjacency_compression_ratio"};
+  for (const MetricField& field : ClusterMetricFields()) {
+    if (std::ranges::count(kHeadline, field.name) > 0 ||
+        std::ranges::count(extra, field.name) > 0) {
+      state.counters[field.name] = field.get(m);
+    }
+  }
 }
 
 // One collected row for the post-run summary table.
@@ -123,7 +125,8 @@ inline void PrintPaperShape(const char* shape) {
 // document per bench run into GROUTING_BENCH_JSON_DIR (default: the working
 // directory). CI uploads these as artifacts — the bench trajectory — and
 // tools/check_bench_regression.py gates pushes against the checked-in
-// bench/baselines/*.json on the deterministic simulated engine.
+// bench/baselines/*.json on the deterministic simulated engine. Each row
+// carries one key per ClusterMetricFields() entry (docs/METRICS.md).
 
 inline std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -152,24 +155,6 @@ inline std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-// Fraction of arrivals refused by per-tenant admission control (0 when
-// quotas are off or nothing arrived).
-inline double ShedRateOf(const ClusterMetrics& m) {
-  const uint64_t arrivals = m.queries + m.queries_shed;
-  return arrivals == 0 ? 0.0
-                       : static_cast<double>(m.queries_shed) / static_cast<double>(arrivals);
-}
-
-// Worst per-tenant response-time tail across the run's tenants (ms);
-// p999 when `p999`, else p99. 0 when per-tenant metrics are absent.
-inline double MaxTenantPercentile(const ClusterMetrics& m, bool p999) {
-  double worst = 0.0;
-  for (const TenantMetrics& t : m.per_tenant) {
-    worst = std::max(worst, p999 ? t.p999_response_ms : t.p99_response_ms);
-  }
-  return worst;
-}
-
 // One named group of result rows (a bench's summary tables map 1:1).
 struct JsonGroup {
   const char* group;
@@ -193,48 +178,13 @@ inline void WriteBenchJson(const std::string& name,
   bool first = true;
   for (const JsonGroup& g : groups) {
     for (const ResultRow& row : *g.rows) {
-      const ClusterMetrics& m = row.metrics;
-      std::fprintf(f, "%s\n    {\"group\": \"%s\", \"label\": \"%s\", ", first ? "" : ",",
+      std::fprintf(f, "%s\n    {\"group\": \"%s\", \"label\": \"%s\"", first ? "" : ",",
                    JsonEscape(g.group).c_str(), JsonEscape(row.label).c_str());
-      std::fprintf(f,
-                   "\"throughput_qps\": %.6g, \"mean_response_ms\": %.6g, "
-                   "\"p50_response_ms\": %.6g, \"p95_response_ms\": %.6g, "
-                   "\"p99_response_ms\": %.6g, \"p999_response_ms\": %.6g, "
-                   "\"hit_rate\": %.6g, "
-                   "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                   "\"storage_batches\": %llu, \"steals\": %llu, "
-                   "\"batches_inflight_peak\": %u, \"fetch_overlap_us\": %.6g, "
-                   "\"storage_load_imbalance\": %.6g, \"partitions_migrated\": %llu, "
-                   "\"repartition_stall_us\": %.6g, "
-                   "\"partitions_replicated\": %llu, \"replica_reads\": %llu, "
-                   "\"replica_demotions\": %llu, "
-                   "\"adjacency_compression_ratio\": %.6g, \"cache_entries\": %llu, "
-                   "\"decompress_us\": %.6g, \"bytes_from_storage\": %llu, "
-                   "\"tenants\": %u, \"queries_shed\": %llu, \"shed_rate\": %.6g, "
-                   "\"max_tenant_p99_ms\": %.6g, \"max_tenant_p999_ms\": %.6g, "
-                   "\"mutations_applied\": %llu, \"index_refreshes\": %llu, "
-                   "\"stale_distance_error\": %.6g}",
-                   m.throughput_qps, m.mean_response_ms, m.p50_response_ms,
-                   m.p95_response_ms, m.p99_response_ms, m.p999_response_ms,
-                   m.CacheHitRate(), static_cast<unsigned long long>(m.cache_hits),
-                   static_cast<unsigned long long>(m.cache_misses),
-                   static_cast<unsigned long long>(m.storage_batches),
-                   static_cast<unsigned long long>(m.steals), m.batches_inflight_peak,
-                   m.fetch_overlap_us, m.storage_load_imbalance,
-                   static_cast<unsigned long long>(m.partitions_migrated),
-                   m.repartition_stall_us,
-                   static_cast<unsigned long long>(m.partitions_replicated),
-                   static_cast<unsigned long long>(m.replica_reads),
-                   static_cast<unsigned long long>(m.replica_demotions),
-                   m.adjacency_compression_ratio,
-                   static_cast<unsigned long long>(m.cache_entries), m.decompress_us,
-                   static_cast<unsigned long long>(m.bytes_from_storage),
-                   static_cast<unsigned>(std::max<size_t>(1, m.per_tenant.size())),
-                   static_cast<unsigned long long>(m.queries_shed), ShedRateOf(m),
-                   MaxTenantPercentile(m, false), MaxTenantPercentile(m, true),
-                   static_cast<unsigned long long>(m.mutations_applied),
-                   static_cast<unsigned long long>(m.index_refreshes),
-                   m.stale_distance_error);
+      for (const MetricField& field : ClusterMetricFields()) {
+        std::fprintf(f, ", \"%s\": %s", field.name,
+                     FormatMetric(field, row.metrics).c_str());
+      }
+      std::fprintf(f, "}");
       first = false;
     }
   }

@@ -136,9 +136,7 @@ void BM_Fig10(benchmark::State& state) {
   for (auto _ : state) {
     m = RunWithPreprocessedFraction(scheme, fraction);
   }
-  SetCounters(state, m);
-  state.counters["mutations_applied"] = static_cast<double>(m.mutations_applied);
-  state.counters["index_refreshes"] = static_cast<double>(m.index_refreshes);
+  SetCounters(state, m, {"mutations_applied", "index_refreshes"});
   char label[96];
   std::snprintf(label, sizeof(label), "%s preprocessed=%d%%",
                 RoutingSchemeKindName(scheme).c_str(), static_cast<int>(state.range(1)));

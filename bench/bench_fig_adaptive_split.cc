@@ -81,9 +81,7 @@ void BM_AdaptiveSplit_SkewXSplitter(benchmark::State& state) {
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
-  SetCounters(state, m);
-  state.counters["load_imbalance"] = m.router_load_imbalance;
-  state.counters["sessions_migrated"] = static_cast<double>(m.sessions_migrated);
+  SetCounters(state, m, {"router_load_imbalance", "sessions_migrated"});
   // Labels are parameter-only: they are the regression gate's join key, so
   // measured values (imbalance, migrations) stay in the counters above.
   SkewRows().push_back({SplitterKindName(splitter) + " zipf=" + Pct(zipf_s), m});
@@ -99,9 +97,7 @@ void BM_AdaptiveSplit_Threshold(benchmark::State& state) {
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
-  SetCounters(state, m);
-  state.counters["load_imbalance"] = m.router_load_imbalance;
-  state.counters["sessions_migrated"] = static_cast<double>(m.sessions_migrated);
+  SetCounters(state, m, {"router_load_imbalance", "sessions_migrated"});
   ThresholdRows().push_back(
       {"adaptive thr=" + (threshold > 1.0 ? Pct(threshold) : std::string("off")), m});
 }

@@ -59,13 +59,6 @@ uint64_t CacheBytesFor(double fraction) {
   return std::max<uint64_t>(bytes, 1);
 }
 
-void SetAsyncCounters(benchmark::State& state, const ClusterMetrics& m) {
-  SetCounters(state, m);
-  state.counters["fetch_overlap_us"] = m.fetch_overlap_us;
-  state.counters["batches_inflight_peak"] =
-      static_cast<double>(m.batches_inflight_peak);
-}
-
 void BM_AsyncBatch_WindowXCache(benchmark::State& state) {
   const uint32_t window = Windows()[static_cast<size_t>(state.range(0))];
   const double fraction = CacheFractions()[static_cast<size_t>(state.range(1))];
@@ -79,7 +72,7 @@ void BM_AsyncBatch_WindowXCache(benchmark::State& state) {
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
   }
-  SetAsyncCounters(state, m);
+  SetCounters(state, m, {"fetch_overlap_us", "batches_inflight_peak"});
   char label[128];
   std::snprintf(label, sizeof(label), "embed W=%u cache=%.1f%%", window,
                 100.0 * fraction);
@@ -99,7 +92,7 @@ void BM_AsyncBatch_WindowXScheme(benchmark::State& state) {
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
   }
-  SetAsyncCounters(state, m);
+  SetCounters(state, m, {"fetch_overlap_us", "batches_inflight_peak"});
   SchemeRows().push_back(
       {RoutingSchemeKindName(scheme) + " W=" + std::to_string(window), m});
 }

@@ -82,9 +82,7 @@ void BM_Multitenant_TenantsXSkew(benchmark::State& state) {
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
-  SetCounters(state, m);
-  state.counters["queries_shed"] = static_cast<double>(m.queries_shed);
-  state.counters["max_tenant_p99_ms"] = MaxTenantPercentile(m, /*p999=*/false);
+  SetCounters(state, m, {"queries_shed", "shed_rate", "max_tenant_p99_ms"});
   // Labels are parameter-only: they are the regression gate's join key.
   TenantRows().push_back(
       {"tenants=" + std::to_string(tenants) + " skew=" + Pct(skew), m});
@@ -99,10 +97,7 @@ void BM_Multitenant_Quota(benchmark::State& state) {
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
-  SetCounters(state, m);
-  state.counters["queries_shed"] = static_cast<double>(m.queries_shed);
-  state.counters["shed_rate"] = ShedRateOf(m);
-  state.counters["max_tenant_p99_ms"] = MaxTenantPercentile(m, /*p999=*/false);
+  SetCounters(state, m, {"queries_shed", "shed_rate", "max_tenant_p99_ms"});
   QuotaRows().push_back({quota_on ? "quota=on" : "quota=off", m});
 }
 

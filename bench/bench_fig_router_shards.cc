@@ -45,9 +45,7 @@ void BM_RouterShards_Scheme(benchmark::State& state) {
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
   }
-  SetCounters(state, m);
-  state.counters["gossip_rounds"] = static_cast<double>(m.gossip_rounds);
-  state.counters["ema_divergence"] = m.router_ema_divergence;
+  SetCounters(state, m, {"gossip_rounds", "router_ema_divergence"});
   ShardRows().push_back(
       {RoutingSchemeKindName(scheme) + " S=" + std::to_string(shards), m});
 }
@@ -71,9 +69,7 @@ void BM_RouterShards_SplitterGossip(benchmark::State& state) {
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
   }
-  SetCounters(state, m);
-  state.counters["gossip_rounds"] = static_cast<double>(m.gossip_rounds);
-  state.counters["ema_divergence"] = m.router_ema_divergence;
+  SetCounters(state, m, {"gossip_rounds", "router_ema_divergence"});
   GossipRows().push_back({"embed S=4 " + SplitterKindName(splitter) +
                               (gossip ? " +gossip" : " -gossip"),
                           m});

@@ -6,12 +6,16 @@
 //                  --radius=2 --hops=2 --hotspots=100 --per-hotspot=10 \
 //                  --network=infiniband --load-factor=20 --alpha=0.5
 //
-// Prints the run's metrics as a table. `--help` lists everything.
+// Prints the run's metrics as a table. `--help` lists every flag.
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/core/grouting.h"
 
@@ -19,117 +23,121 @@ using namespace grouting;
 
 namespace {
 
-struct Flags {
-  std::map<std::string, std::string> values;
+// Command-line flags of the form --key=value or --key. Every lookup marks
+// its key as read and records its default and help text, so Errors() can
+// report malformed values and flags that nothing asked for, and Help() lists
+// exactly the flags the program reads, without a second list of flag names.
+class Flags {
+ public:
+  Flags(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg(argv[i]);
+      if (arg.rfind("--", 0) != 0) {
+        errors_.push_back("unexpected argument '" + arg + "'");
+        continue;
+      }
+      const auto eq = arg.find('=');
+      values_[arg.substr(2, eq == std::string::npos ? eq : eq - 2)] =
+          eq == std::string::npos ? "1" : arg.substr(eq + 1);
+    }
+  }
 
-  std::string Get(const std::string& key, const std::string& def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : it->second;
+  bool Has(const std::string& key, const char* help) {
+    return Find(key, "", help) != nullptr;
   }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : std::atof(it->second.c_str());
+  std::string Get(const std::string& key, const std::string& def, const char* help) {
+    const std::string* text = Find(key, def, help);
+    return text == nullptr ? def : *text;
   }
-  int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : std::atoll(it->second.c_str());
+  // A number in [min, max].
+  double GetDouble(const std::string& key, double def, const char* help,
+                   double min = -std::numeric_limits<double>::infinity(),
+                   double max = std::numeric_limits<double>::infinity()) {
+    const double v = Parse(key, def, help, "a number");
+    return InRange(key, v, min, max) ? v : def;
   }
+  // A non-negative integer that fits T and is at least `min`.
+  template <typename T>
+  T GetInt(const std::string& key, T def, const char* help, T min = 0) {
+    const uint64_t v = Parse<uint64_t>(key, def, help, "a non-negative integer");
+    return InRange(key, v, static_cast<uint64_t>(min),
+                   static_cast<uint64_t>(std::numeric_limits<T>::max()))
+               ? static_cast<T>(v)
+               : def;
+  }
+  // A byte size such as 16MB or 512KB (ParseByteSize).
+  uint64_t GetBytes(const std::string& key, const std::string& def, const char* help) {
+    const std::string text = Get(key, def, help);
+    const uint64_t bytes = ParseByteSize(text);
+    if (bytes == 0 && text.rfind('0', 0) != 0) {
+      errors_.push_back("bad value '" + text + "' for --" + key +
+                        " (expected e.g. 16MB)");
+    }
+    return bytes;
+  }
+
+  // Malformed values seen so far, then every flag that nothing read.
+  std::vector<std::string> Errors() const {
+    std::vector<std::string> errors = errors_;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) {
+        errors.push_back("unknown flag --" + key);
+      }
+    }
+    return errors;
+  }
+  // One line per flag read so far: --key=default, then its help text.
+  const std::string& Help() const { return help_; }
+
+ private:
+  const std::string* Find(const std::string& key, const std::string& def,
+                          const char* help) {
+    if (read_.insert(key).second) {
+      char line[256];
+      const std::string flag = "--" + key + (def.empty() ? "" : "=" + def);
+      std::snprintf(line, sizeof(line), "  %-32s %s\n", flag.c_str(), help);
+      help_ += line;
+    }
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  template <typename T>
+  bool InRange(const std::string& key, T v, T min, T max) {
+    if (v >= min && v <= max) {
+      return true;
+    }
+    errors_.push_back("--" + key + "=" + std::to_string(v) + " is outside [" +
+                      std::to_string(min) + ", " + std::to_string(max) + "]");
+    return false;
+  }
+
+  // The whole value must parse (std::from_chars, no trailing characters);
+  // NaN is refused too (v != v).
+  template <typename T>
+  T Parse(const std::string& key, T def, const char* help, const char* expected) {
+    std::ostringstream def_text;
+    def_text << def;
+    const std::string* text = Find(key, def_text.str(), help);
+    if (text == nullptr) {
+      return def;
+    }
+    T v{};
+    const char* end = text->data() + text->size();
+    const auto [ptr, ec] = std::from_chars(text->data(), end, v);
+    if (ec != std::errc() || ptr != end || text->empty() || v != v) {
+      errors_.push_back("bad value '" + *text + "' for --" + key + " (expected " +
+                        expected + ")");
+      return def;
+    }
+    return v;
+  }
+
+  std::map<std::string, std::string> values_;
+  std::set<std::string> read_;
+  std::vector<std::string> errors_;
+  std::string help_;
 };
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg.rfind("--", 0) != 0) {
-      continue;
-    }
-    arg = arg.substr(2);
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags.values[arg] = "1";
-    } else {
-      flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-void PrintHelp() {
-  std::printf(
-      "gRouting experiment CLI\n"
-      "  --dataset=webgraph|friendster|memetracker|freebase   (default webgraph)\n"
-      "  --scale=<float>          dataset scale               (default 0.25)\n"
-      "  --scheme=no_cache|next_ready|hash|landmark|embed     (default embed)\n"
-      "  --engine=sim|threaded    execution engine            (default sim)\n"
-      "  --processors=<int>       query processors            (default 7)\n"
-      "  --storage=<int>          storage servers             (default 4)\n"
-      "  --cache=<size>           per-processor cache, e.g. 16MB; 0 = ample\n"
-      "  --policy=lru|fifo|lfu|clock                          (default lru)\n"
-      "  --network=infiniband|ethernet                        (default infiniband)\n"
-      "  --radius=<int> --hops=<int>                          (defaults 2, 2)\n"
-      "  --hotspots=<int> --per-hotspot=<int>                 (defaults 100, 10)\n"
-      "  --landmarks=<int> --separation=<int> --dims=<int>\n"
-      "  --load-factor=<float> --alpha=<float> --no-stealing\n"
-      "  --router-shards=<int>    router frontend shards      (default 1)\n"
-      "  --splitter=round_robin|hash|sticky|adaptive          (default round_robin)\n"
-      "  --gossip-period=<µs>     0 disables gossip           (default 200)\n"
-      "  --gossip-weight=<float>  EMA blend weight            (default 0.5)\n"
-      "  --rebalance-threshold=<ratio>  adaptive splitter migration trigger\n"
-      "                           (max/min routed load; <=1 disables, default 0)\n"
-      "  --migration-cap=<int>    sessions moved per rebalance round (default 8)\n"
-      "  --session-capacity=<int> sticky/adaptive session bound (default 65536)\n"
-      "  --arrival-gap=<µs>       sim inter-arrival gap       (default 0)\n"
-      "  --inflight-batches=<int> async multiget window per processor\n"
-      "                           (1 = synchronous level barrier, default 1)\n"
-      "  --repartition-threshold=<ratio>  storage-tier repartition trigger\n"
-      "                           (max/min server access rate; <=1 disables,\n"
-      "                           default 0)\n"
-      "  --repartition-cap=<int>  partitions moved per repartition round\n"
-      "                           (default 4)\n"
-      "  --partitions-per-server=<int>  virtual partitions per storage server\n"
-      "                           (migration granularity, default 8)\n"
-      "  --replication-top-k=<int>  hot partitions promoted to an extra\n"
-      "                           replica per round (0 disables, default 0)\n"
-      "  --replica-demote-threshold=<frac>  demote replicas once a\n"
-      "                           partition's rate falls to this fraction of\n"
-      "                           the average server load (default 0.1)\n"
-      "  --max-replicas-per-partition=<int>  extra copies a partition may\n"
-      "                           hold beyond its primary (default 2, max 3)\n"
-      "  --adjacency-encoding=raw|delta_varint  storage wire format\n"
-      "                           (default raw)\n"
-      "  --cache-compressed       processor caches admit the compressed blob\n"
-      "                           (decode on hit; needs delta_varint to pay off)\n"
-      "  --trace-out=<file>       export the query-lifecycle trace as Chrome-\n"
-      "                           trace JSON (open in Perfetto / chrome://tracing)\n"
-      "  --trace-sample-every-n=<int>  trace every Nth query (default 1 when\n"
-      "                           --trace-out is set, else 0 = tracing off)\n"
-      "  --trace-buffer-capacity=<int> events per trace ring (default 65536)\n"
-      "  --num-tenants=<int>      tenant keyspaces federated over the storage\n"
-      "                           tier (default 1)\n"
-      "  --tenant-quota-qps=<float>  per-tenant admission quota at the\n"
-      "                           splitter (<=0 disables, default 0)\n"
-      "  --tenant-quota-burst=<float>  admission token-bucket burst\n"
-      "                           (default 32)\n"
-      "  --open-loop              open-loop Poisson workload: Query::arrive_us\n"
-      "                           timestamps drive arrivals on both engines\n"
-      "  --arrivals=<int>         open-loop arrivals          (default 8192)\n"
-      "  --arrival-rate=<qps>     open-loop aggregate rate    (default 50000)\n"
-      "  --tenant-skew=<float>    Zipf skew of per-tenant rates (default 1.0)\n"
-      "  --sessions-per-tenant=<int>  open-loop session universe per tenant\n"
-      "                           (default 1000000)\n"
-      "  --session-skew=<float>   heavy-tail exponent of session popularity\n"
-      "                           (default 1.1)\n"
-      "  --tenant-metrics-out=<file>  write per-tenant admission/latency\n"
-      "                           metrics + answer checksum as JSON\n"
-      "  --mutation-fraction=<frac>  fraction of open-loop arrivals converted\n"
-      "                           to live graph writes (enables the versioned\n"
-      "                           mutation path; requires --open-loop;\n"
-      "                           default 0 = read-only)\n"
-      "  --index-refresh-period=<µs>  minimum time between incremental\n"
-      "                           index-maintenance passes on the gossip\n"
-      "                           cadence (default 0 = every gossip tick)\n"
-      "  --seed=<int>\n");
-}
 
 // Order-independent checksum over the run's answers: each answer folds its
 // id and result fields through a SplitMix64 chain into one 64-bit word, and
@@ -204,11 +212,8 @@ bool WriteTenantMetricsJson(const std::string& path, const std::string& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = ParseFlags(argc, argv);
-  if (flags.values.count("help")) {
-    PrintHelp();
-    return 0;
-  }
+  Flags flags(argc, argv);
+  const bool help = flags.Has("help", "print this list and exit");
 
   static const std::map<std::string, DatasetId> kDatasets = {
       {"webgraph", DatasetId::kWebGraphLike},
@@ -229,117 +234,156 @@ int main(int argc, char** argv) {
       {"lfu", CachePolicy::kLfu},
       {"clock", CachePolicy::kClock},
   };
-
-  const std::string dataset_name = flags.Get("dataset", "webgraph");
-  const std::string scheme_name = flags.Get("scheme", "embed");
-  const std::string engine_name = flags.Get("engine", "sim");
-  if (kDatasets.count(dataset_name) == 0 || kSchemes.count(scheme_name) == 0 ||
-      (engine_name != "sim" && engine_name != "threaded")) {
-    std::fprintf(stderr, "unknown --dataset, --scheme or --engine; see --help\n");
-    return 1;
-  }
-  const EngineKind engine =
-      engine_name == "threaded" ? EngineKind::kThreaded : EngineKind::kSimulated;
-
-  ExperimentEnv env(kDatasets.at(dataset_name), flags.GetDouble("scale", 0.25),
-                    static_cast<uint64_t>(flags.GetInt("seed", 4242)));
-
-  RunOptions opts;
-  opts.scheme = kSchemes.at(scheme_name);
-  opts.processors = static_cast<uint32_t>(flags.GetInt("processors", 7));
-  opts.storage_servers = static_cast<uint32_t>(flags.GetInt("storage", 4));
-  opts.cache_bytes = ParseByteSize(flags.Get("cache", "0"));
-  opts.cache_policy = kPolicies.count(flags.Get("policy", "lru"))
-                          ? kPolicies.at(flags.Get("policy", "lru"))
-                          : CachePolicy::kLru;
-  opts.cost = flags.Get("network", "infiniband") == "ethernet"
-                  ? CostModel::EthernetDefaults()
-                  : CostModel::InfinibandDefaults();
-  opts.hotspot_radius = static_cast<int32_t>(flags.GetInt("radius", 2));
-  opts.hops = static_cast<int32_t>(flags.GetInt("hops", 2));
-  opts.num_hotspots = static_cast<size_t>(flags.GetInt("hotspots", 100));
-  opts.queries_per_hotspot = static_cast<size_t>(flags.GetInt("per-hotspot", 10));
-  opts.num_landmarks = static_cast<size_t>(flags.GetInt("landmarks", 96));
-  opts.min_separation = static_cast<int32_t>(flags.GetInt("separation", 3));
-  opts.dimensions = static_cast<size_t>(flags.GetInt("dims", 10));
-  opts.load_factor = flags.GetDouble("load-factor", 20.0);
-  opts.alpha = flags.GetDouble("alpha", 0.5);
-  opts.stealing = flags.values.count("no-stealing") == 0;
   static const std::map<std::string, SplitterKind> kSplitters = {
       {"round_robin", SplitterKind::kRoundRobin},
       {"hash", SplitterKind::kHash},
       {"sticky", SplitterKind::kSticky},
       {"adaptive", SplitterKind::kAdaptive},
   };
-  opts.router_shards = static_cast<uint32_t>(flags.GetInt("router-shards", 1));
-  const std::string splitter_name = flags.Get("splitter", "round_robin");
-  if (kSplitters.count(splitter_name) == 0) {
-    std::fprintf(stderr, "unknown --splitter '%s'; see --help\n", splitter_name.c_str());
+
+  // Every flag is read here, before any work, so a typo or a bad value fails
+  // fast instead of after the graph is built.
+  const std::string dataset_name =
+      flags.Get("dataset", "webgraph", "webgraph|friendster|memetracker|freebase");
+  const std::string scheme_name =
+      flags.Get("scheme", "embed", "no_cache|next_ready|hash|landmark|embed");
+  const std::string engine_name = flags.Get("engine", "sim", "sim|threaded");
+  const std::string policy_name = flags.Get("policy", "lru", "lru|fifo|lfu|clock");
+  const std::string network_name =
+      flags.Get("network", "infiniband", "infiniband|ethernet cost profile");
+  const std::string splitter_name = flags.Get(
+      "splitter", "round_robin", "round_robin|hash|sticky|adaptive arrival splitter");
+  const std::string encoding_name =
+      flags.Get("adjacency-encoding", "raw", "raw|delta_varint storage wire format");
+  if (kDatasets.count(dataset_name) == 0 || kSchemes.count(scheme_name) == 0 ||
+      (engine_name != "sim" && engine_name != "threaded") ||
+      kPolicies.count(policy_name) == 0 ||
+      (network_name != "infiniband" && network_name != "ethernet") ||
+      kSplitters.count(splitter_name) == 0 ||
+      (encoding_name != "raw" && encoding_name != "delta_varint")) {
+    std::fprintf(stderr,
+                 "unknown --dataset, --scheme, --engine, --policy, --network, --splitter "
+                 "or --adjacency-encoding; see --help\n");
     return 1;
   }
+  const EngineKind engine =
+      engine_name == "threaded" ? EngineKind::kThreaded : EngineKind::kSimulated;
+  constexpr double kPositive = std::numeric_limits<double>::min();
+  const double scale = flags.GetDouble("scale", 0.25, "dataset scale", kPositive);
+  const uint64_t seed = flags.GetInt<uint64_t>("seed", 4242, "experiment seed");
+
+  RunOptions opts;
+  opts.scheme = kSchemes.at(scheme_name);
+  opts.processors = flags.GetInt<uint32_t>("processors", 7, "query processors", 1);
+  opts.storage_servers = flags.GetInt<uint32_t>("storage", 4, "storage servers", 1);
+  opts.cache_bytes =
+      flags.GetBytes("cache", "0", "per-processor cache, e.g. 16MB; 0 = ample");
+  opts.cache_policy = kPolicies.at(policy_name);
+  opts.cost = network_name == "ethernet" ? CostModel::EthernetDefaults()
+                                         : CostModel::InfinibandDefaults();
+  opts.hotspot_radius = flags.GetInt<int32_t>("radius", 2, "hotspot radius r");
+  opts.hops = flags.GetInt<int32_t>("hops", 2, "traversal depth h");
+  opts.num_hotspots = flags.GetInt<size_t>("hotspots", 100, "workload hotspots");
+  opts.queries_per_hotspot =
+      flags.GetInt<size_t>("per-hotspot", 10, "queries per hotspot");
+  opts.num_landmarks = flags.GetInt<size_t>("landmarks", 96, "landmark count");
+  opts.min_separation =
+      flags.GetInt<int32_t>("separation", 3, "minimum landmark separation (hops)");
+  opts.dimensions = flags.GetInt<size_t>("dims", 10, "embedding dimensions");
+  opts.load_factor =
+      flags.GetDouble("load-factor", 20.0, "load-penalty weight", kPositive);
+  opts.alpha = flags.GetDouble("alpha", 0.5, "embed distance/load blend", 0.0, 1.0);
+  opts.stealing = !flags.Has("no-stealing", "disable idle-processor stealing");
+  opts.router_shards =
+      flags.GetInt<uint32_t>("router-shards", 1, "router frontend shards", 1);
   opts.splitter = kSplitters.at(splitter_name);
-  opts.gossip_period_us = flags.GetDouble("gossip-period", 200.0);
-  opts.gossip_merge_weight = flags.GetDouble("gossip-weight", 0.5);
-  opts.rebalance_threshold = flags.GetDouble("rebalance-threshold", 0.0);
-  opts.migration_cap = static_cast<uint32_t>(flags.GetInt("migration-cap", 8));
-  opts.session_capacity =
-      static_cast<uint32_t>(flags.GetInt("session-capacity", 1 << 16));
-  opts.arrival_gap_us = flags.GetDouble("arrival-gap", 0.0);
-  opts.max_inflight_batches =
-      static_cast<uint32_t>(flags.GetInt("inflight-batches", 1));
-  opts.repartition_threshold = flags.GetDouble("repartition-threshold", 0.0);
-  opts.repartition_cap = static_cast<uint32_t>(flags.GetInt("repartition-cap", 4));
-  opts.partitions_per_server =
-      static_cast<uint32_t>(flags.GetInt("partitions-per-server", 8));
-  opts.replication_top_k =
-      static_cast<uint32_t>(flags.GetInt("replication-top-k", 0));
-  opts.replica_demote_threshold =
-      flags.GetDouble("replica-demote-threshold", 0.1);
-  opts.max_replicas_per_partition =
-      static_cast<uint32_t>(flags.GetInt("max-replicas-per-partition", 2));
-  const std::string encoding_name = flags.Get("adjacency-encoding", "raw");
-  if (encoding_name != "raw" && encoding_name != "delta_varint") {
-    std::fprintf(stderr, "unknown --adjacency-encoding '%s'; see --help\n",
-                 encoding_name.c_str());
-    return 1;
-  }
+  opts.gossip_period_us =
+      flags.GetDouble("gossip-period", 200.0, "µs between gossip rounds; 0 = off", 0.0);
+  opts.gossip_merge_weight =
+      flags.GetDouble("gossip-weight", 0.5, "gossip EMA blend weight", 0.0, 1.0);
+  opts.rebalance_threshold = flags.GetDouble(
+      "rebalance-threshold", 0.0, "adaptive splitter max/min load trigger; <=1 = off");
+  opts.migration_cap =
+      flags.GetInt<uint32_t>("migration-cap", 8, "sessions moved per rebalance round");
+  opts.session_capacity = flags.GetInt<uint32_t>(
+      "session-capacity", 1 << 16, "sticky/adaptive session-table bound", 1);
+  opts.arrival_gap_us =
+      flags.GetDouble("arrival-gap", 0.0, "inter-arrival gap (µs)", 0.0);
+  opts.max_inflight_batches = flags.GetInt<uint32_t>(
+      "inflight-batches", 1, "async multiget window; 1 = level barrier", 1);
+  opts.repartition_threshold = flags.GetDouble(
+      "repartition-threshold", 0.0, "storage max/min access-rate trigger; <=1 = off");
+  opts.repartition_cap =
+      flags.GetInt<uint32_t>("repartition-cap", 4, "partitions moved per round");
+  opts.partitions_per_server = flags.GetInt<uint32_t>(
+      "partitions-per-server", 8, "virtual partitions per storage server", 1);
+  opts.replication_top_k = flags.GetInt<uint32_t>(
+      "replication-top-k", 0, "hot partitions promoted per round; 0 = off");
+  opts.replica_demote_threshold = flags.GetDouble(
+      "replica-demote-threshold", 0.1, "demote below this share of mean load", 0.0);
+  opts.max_replicas_per_partition = flags.GetInt<uint32_t>(
+      "max-replicas-per-partition", 2, "extra copies per partition (max 3)");
   opts.adjacency_encoding = encoding_name == "delta_varint"
                                 ? AdjacencyEncoding::kDeltaVarint
                                 : AdjacencyEncoding::kRaw;
-  opts.cache_compressed = flags.values.count("cache-compressed") > 0;
-  const std::string trace_out = flags.Get("trace-out", "");
-  opts.trace_sample_every_n = static_cast<uint32_t>(
-      flags.GetInt("trace-sample-every-n", trace_out.empty() ? 0 : 1));
-  opts.trace_buffer_capacity =
-      static_cast<uint32_t>(flags.GetInt("trace-buffer-capacity", 1 << 16));
+  opts.cache_compressed =
+      flags.Has("cache-compressed", "cache the encoded blob, decode on every hit");
+  const std::string trace_out =
+      flags.Get("trace-out", "", "write the Chrome-trace/Perfetto JSON here");
+  opts.trace_sample_every_n =
+      flags.GetInt<uint32_t>("trace-sample-every-n", trace_out.empty() ? 0 : 1,
+                             "trace every Nth query; 0 = off");
+  opts.trace_buffer_capacity = flags.GetInt<uint32_t>(
+      "trace-buffer-capacity", 1 << 16, "events per trace ring", 1);
   if (!trace_out.empty() && opts.trace_sample_every_n == 0) {
     std::fprintf(stderr, "--trace-out requires --trace-sample-every-n >= 1\n");
     return 1;
   }
-  opts.num_tenants = static_cast<uint32_t>(flags.GetInt("num-tenants", 1));
-  opts.tenant_quota_qps = flags.GetDouble("tenant-quota-qps", 0.0);
-  opts.tenant_quota_burst = flags.GetDouble("tenant-quota-burst", 32.0);
-  opts.open_loop = flags.values.count("open-loop") > 0;
-  const std::string tenant_metrics_out = flags.Get("tenant-metrics-out", "");
-  if (opts.num_tenants == 0) {
-    std::fprintf(stderr, "--num-tenants must be >= 1\n");
-    return 1;
-  }
-  const double mutation_fraction = flags.GetDouble("mutation-fraction", 0.0);
-  if (mutation_fraction < 0.0 || mutation_fraction > 1.0) {
-    std::fprintf(stderr, "--mutation-fraction must be in [0, 1]\n");
-    return 1;
-  }
+  opts.num_tenants = flags.GetInt<uint32_t>("num-tenants", 1, "tenant keyspaces", 1);
+  opts.tenant_quota_qps = flags.GetDouble("tenant-quota-qps", 0.0,
+                                          "per-tenant admission quota (q/s); <=0 = off");
+  opts.tenant_quota_burst =
+      flags.GetDouble("tenant-quota-burst", 32.0, "admission token-bucket burst", 1.0);
+  opts.open_loop = flags.Has("open-loop", "open-loop Poisson arrivals on both engines");
+  const std::string tenant_metrics_out = flags.Get(
+      "tenant-metrics-out", "", "write per-tenant metrics + answer checksum JSON here");
+  OpenLoopConfig ol;
+  ol.num_tenants = opts.num_tenants;
+  ol.num_arrivals = flags.GetInt<size_t>("arrivals", 8192, "open-loop arrivals");
+  ol.arrival_rate_qps =
+      flags.GetDouble("arrival-rate", 50000.0, "open-loop aggregate q/s", kPositive);
+  ol.tenant_skew = flags.GetDouble("tenant-skew", 1.0, "Zipf skew of tenant rates", 0.0);
+  ol.sessions_per_tenant = flags.GetInt<size_t>("sessions-per-tenant", 1000000,
+                                                "open-loop sessions per tenant", 1);
+  ol.session_skew =
+      flags.GetDouble("session-skew", 1.1, "session popularity exponent", 0.0);
+  ol.hops = opts.hops;
+  const double mutation_fraction = flags.GetDouble(
+      "mutation-fraction", 0.0, "share of open-loop arrivals that write", 0.0, 1.0);
   if (mutation_fraction > 0.0 && !opts.open_loop) {
     std::fprintf(stderr, "--mutation-fraction requires --open-loop\n");
     return 1;
   }
   opts.enable_mutations = mutation_fraction > 0.0;
-  opts.index_refresh_period_us = flags.GetDouble("index-refresh-period", 0.0);
+  opts.index_refresh_period_us = flags.GetDouble(
+      "index-refresh-period", 0.0, "µs between index-maintenance passes", 0.0);
+  if (help) {
+    std::printf("gRouting experiment CLI\n%s", flags.Help().c_str());
+    return 0;
+  }
+  const std::vector<std::string> errors = flags.Errors();
+  for (const std::string& error : errors) {
+    std::fprintf(stderr, "grouting_cli: %s\n", error.c_str());
+  }
+  if (!errors.empty()) {
+    std::fprintf(stderr, "see --help\n");
+    return 1;
+  }
 
+  ExperimentEnv env(kDatasets.at(dataset_name), scale, seed);
   const Graph& g = env.graph();
   std::printf("dataset %s (scale %.2f): %zu nodes, %zu edges\n", dataset_name.c_str(),
-              flags.GetDouble("scale", 0.25), g.num_nodes(), g.num_edges());
+              scale, g.num_nodes(), g.num_edges());
   std::printf("running %s on %u processors / %u storage servers (%s, %s engine)...\n",
               scheme_name.c_str(), opts.processors, opts.storage_servers,
               opts.cost.net.name.c_str(), EngineKindName(engine).c_str());
@@ -349,15 +393,6 @@ int main(int argc, char** argv) {
   std::vector<Query> workload;
   std::vector<GraphMutation> mutations;
   if (opts.open_loop) {
-    OpenLoopConfig ol;
-    ol.num_tenants = opts.num_tenants;
-    ol.num_arrivals = static_cast<size_t>(flags.GetInt("arrivals", 8192));
-    ol.arrival_rate_qps = flags.GetDouble("arrival-rate", 50000.0);
-    ol.tenant_skew = flags.GetDouble("tenant-skew", 1.0);
-    ol.sessions_per_tenant =
-        static_cast<size_t>(flags.GetInt("sessions-per-tenant", 1000000));
-    ol.session_skew = flags.GetDouble("session-skew", 1.1);
-    ol.hops = opts.hops;
     ol.seed = env.seed() ^ 0x99;
     if (mutation_fraction > 0.0) {
       // Mixed read/write stream from one arrival process: a deterministic
@@ -386,7 +421,9 @@ int main(int argc, char** argv) {
     TraceMetadata metadata;
     metadata.emplace_back("dataset", dataset_name);
     metadata.emplace_back("scheme", scheme_name);
-    metadata.emplace_back("scale", flags.Get("scale", "0.25"));
+    char scale_text[32];
+    std::snprintf(scale_text, sizeof(scale_text), "%g", scale);
+    metadata.emplace_back("scale", scale_text);
     if (cluster->ExportTrace(trace_out, metadata)) {
       std::printf("wrote trace: %s (%llu events, %llu dropped)\n", trace_out.c_str(),
                   static_cast<unsigned long long>(m.trace_events_recorded),
@@ -397,88 +434,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  Table t({"metric", "value"});
-  t.AddRow({"engine", EngineKindName(engine)});
-  t.AddRow({"queries", Table::Int(static_cast<int64_t>(m.queries))});
-  t.AddRow({"throughput", Table::Num(m.throughput_qps, 1) + " q/s"});
-  t.AddRow({"mean response", Table::Num(m.mean_response_ms, 3) + " ms"});
-  t.AddRow({"p50 response", Table::Num(m.p50_response_ms, 3) + " ms"});
-  t.AddRow({"p95 response", Table::Num(m.p95_response_ms, 3) + " ms"});
-  t.AddRow({"p99 response", Table::Num(m.p99_response_ms, 3) + " ms"});
-  t.AddRow({"p99.9 response", Table::Num(m.p999_response_ms, 3) + " ms"});
-  t.AddRow({"mean queue wait", Table::Num(m.mean_queue_wait_ms, 3) + " ms"});
-  t.AddRow({"cache hit rate", Table::Num(100.0 * m.CacheHitRate(), 1) + " %"});
-  t.AddRow({"cache hits / misses", Table::Int(static_cast<int64_t>(m.cache_hits)) + " / " +
-                                       Table::Int(static_cast<int64_t>(m.cache_misses))});
-  t.AddRow({"bytes from storage", Table::Bytes(m.bytes_from_storage)});
-  t.AddRow({"storage batches", Table::Int(static_cast<int64_t>(m.storage_batches))});
-  if (opts.adjacency_encoding != AdjacencyEncoding::kRaw || opts.cache_compressed) {
-    t.AddRow({"adjacency encoding", AdjacencyEncodingName(opts.adjacency_encoding) +
-                                        (opts.cache_compressed ? " (compressed cache)"
-                                                               : "")});
-    t.AddRow({"compression ratio", Table::Num(m.adjacency_compression_ratio, 2) + "x"});
-    t.AddRow({"cache entries", Table::Int(static_cast<int64_t>(m.cache_entries))});
-    t.AddRow({"decompress time", Table::Num(m.decompress_us / 1000.0, 3) + " ms"});
+  Table t({"metric", "value", "unit"});
+  t.AddRow({"engine", EngineKindName(engine), ""});
+  for (const MetricField& field : ClusterMetricFields()) {
+    t.AddRow({field.name, FormatMetric(field, m), field.unit});
   }
-  t.AddRow({"storage load imbalance",
-            Table::Num(m.storage_load_imbalance, 2) + " max/min"});
-  t.AddRow({"steals", Table::Int(static_cast<int64_t>(m.steals))});
-  const RepartitionConfig repartition =
-      env.MakeClusterConfig(opts).MakeRepartitionConfig();
-  if (repartition.active()) {
-    t.AddRow({"partitions migrated",
-              Table::Int(static_cast<int64_t>(m.partitions_migrated))});
-    t.AddRow(
-        {"repartition stall", Table::Num(m.repartition_stall_us / 1000.0, 3) + " ms"});
-  }
-  if (repartition.replication_enabled()) {
-    t.AddRow({"partitions replicated",
-              Table::Int(static_cast<int64_t>(m.partitions_replicated))});
-    t.AddRow({"replica reads", Table::Int(static_cast<int64_t>(m.replica_reads))});
-    t.AddRow({"replica demotions",
-              Table::Int(static_cast<int64_t>(m.replica_demotions))});
-  }
-  if (opts.max_inflight_batches > 1) {
-    t.AddRow({"inflight batch peak",
-              Table::Int(static_cast<int64_t>(m.batches_inflight_peak))});
-    t.AddRow({"fetch overlap", Table::Num(m.fetch_overlap_us / 1000.0, 3) + " ms"});
-  }
-  if (opts.trace_sample_every_n > 0) {
-    t.AddRow({"trace events", Table::Int(static_cast<int64_t>(m.trace_events_recorded)) +
-                                  " (" +
-                                  Table::Int(static_cast<int64_t>(m.trace_events_dropped)) +
-                                  " dropped)"});
-    t.AddRow({"trace ring high-water",
-              Table::Int(static_cast<int64_t>(m.trace_buffer_high_water))});
-  }
-  if (opts.router_shards > 1) {
-    t.AddRow({"router shards", Table::Int(static_cast<int64_t>(opts.router_shards)) +
-                                   " (" + SplitterKindName(opts.splitter) + ")"});
-    t.AddRow({"gossip rounds", Table::Int(static_cast<int64_t>(m.gossip_rounds))});
-    t.AddRow({"ema divergence", Table::Num(m.router_ema_divergence, 4)});
-    t.AddRow({"load imbalance", Table::Num(m.router_load_imbalance, 2) + " max/min"});
-    t.AddRow({"sessions migrated",
-              Table::Int(static_cast<int64_t>(m.sessions_migrated))});
-    if (m.sticky_evictions > 0) {
-      t.AddRow({"session evictions",
-                Table::Int(static_cast<int64_t>(m.sticky_evictions))});
-    }
-  }
-  if (opts.enable_mutations) {
-    t.AddRow({"mutations applied",
-              Table::Int(static_cast<int64_t>(m.mutations_applied))});
-    t.AddRow({"index refreshes",
-              Table::Int(static_cast<int64_t>(m.index_refreshes))});
-    t.AddRow({"stale distance error", Table::Num(m.stale_distance_error, 4)});
-  }
-  if (opts.num_tenants > 1 || opts.tenant_quota_qps > 0.0) {
-    t.AddRow({"tenants", Table::Int(static_cast<int64_t>(opts.num_tenants))});
-    t.AddRow({"queries shed", Table::Int(static_cast<int64_t>(m.queries_shed))});
+  if (m.per_tenant.size() > 1 || m.queries_shed > 0) {
     for (const TenantMetrics& tm : m.per_tenant) {
       t.AddRow({"tenant " + Table::Int(tm.tenant),
                 Table::Int(static_cast<int64_t>(tm.queries)) + " q / " +
                     Table::Int(static_cast<int64_t>(tm.shed)) + " shed / p99 " +
-                    Table::Num(tm.p99_response_ms, 3) + " ms"});
+                    Table::Num(tm.p99_response_ms, 3),
+                "ms"});
     }
   }
   std::printf("%s", t.ToString().c_str());

@@ -36,8 +36,7 @@ namespace grouting {
 // Cost knobs. These are scaled to THIS repo's ~1000x-smaller graphs: in the
 // paper a Giraph superstep barrier (~10-30 ms) is of the same order as one
 // whole query (~30-90 ms); here queries finish in ~0.1-1 ms, so the barrier
-// is scaled to a few hundred microseconds to preserve that ratio (see
-// EXPERIMENTS.md, calibration notes).
+// is scaled to a few hundred microseconds to preserve that ratio.
 struct CoupledConfig {
   uint32_t num_servers = 12;  // paper: 12-machine configurations
   NetworkProfile net = NetworkProfile::Ethernet();

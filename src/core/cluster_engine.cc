@@ -1,6 +1,9 @@
 #include "src/core/cluster_engine.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "src/frontend/admission.h"
@@ -18,6 +21,127 @@ std::string EngineKindName(EngineKind kind) {
   }
   GROUTING_CHECK_MSG(false, "unknown engine kind");
   return "";
+}
+
+namespace {
+
+// Worst per-tenant response-time tail across the run's tenants (ms); 0 when
+// per-tenant metrics are absent.
+template <double TenantMetrics::*percentile>
+double MaxTenantPercentile(const ClusterMetrics& m) {
+  double worst = 0.0;
+  for (const TenantMetrics& t : m.per_tenant) {
+    worst = std::max(worst, t.*percentile);
+  }
+  return worst;
+}
+
+// A row that reads one scalar field; integer fields print as counts.
+template <auto field>
+MetricField ScalarRow(const char* name, const char* unit) {
+  using T = std::remove_cvref_t<decltype(std::declval<ClusterMetrics>().*field)>;
+  return {name, unit, std::is_integral_v<T>,
+          [](const ClusterMetrics& m) { return static_cast<double>(m.*field); }};
+}
+
+}  // namespace
+
+// The row key is the field's own identifier.
+#define GROUTING_METRIC(field, unit) ScalarRow<&ClusterMetrics::field>(#field, unit)
+
+std::span<const MetricField> ClusterMetricFields() {
+  static const MetricField kFields[] = {
+      GROUTING_METRIC(queries, "count"),
+      GROUTING_METRIC(makespan_us, "us"),
+      GROUTING_METRIC(throughput_qps, "q/s"),
+      GROUTING_METRIC(mean_response_ms, "ms"),
+      GROUTING_METRIC(p50_response_ms, "ms"),
+      GROUTING_METRIC(p95_response_ms, "ms"),
+      GROUTING_METRIC(p99_response_ms, "ms"),
+      GROUTING_METRIC(p999_response_ms, "ms"),
+      GROUTING_METRIC(mean_queue_wait_ms, "ms"),
+      GROUTING_METRIC(cache_hits, "count"),
+      GROUTING_METRIC(cache_misses, "count"),
+      {"hit_rate", "fraction", false,
+       [](const ClusterMetrics& m) { return m.CacheHitRate(); }},
+      GROUTING_METRIC(nodes_visited, "count"),
+      GROUTING_METRIC(bytes_from_storage, "bytes"),
+      GROUTING_METRIC(storage_batches, "count"),
+      GROUTING_METRIC(steals, "count"),
+      GROUTING_METRIC(gossip_rounds, "count"),
+      GROUTING_METRIC(router_ema_divergence, "ratio"),
+      GROUTING_METRIC(sessions_migrated, "count"),
+      GROUTING_METRIC(sticky_evictions, "count"),
+      GROUTING_METRIC(router_load_imbalance, "ratio"),
+      GROUTING_METRIC(batches_inflight_peak, "count"),
+      GROUTING_METRIC(fetch_overlap_us, "us"),
+      GROUTING_METRIC(partitions_migrated, "count"),
+      GROUTING_METRIC(storage_load_imbalance, "ratio"),
+      GROUTING_METRIC(repartition_stall_us, "us"),
+      GROUTING_METRIC(partitions_replicated, "count"),
+      GROUTING_METRIC(replica_reads, "count"),
+      GROUTING_METRIC(replica_demotions, "count"),
+      GROUTING_METRIC(adjacency_compression_ratio, "ratio"),
+      GROUTING_METRIC(cache_entries, "count"),
+      GROUTING_METRIC(decompress_us, "us"),
+      GROUTING_METRIC(trace_events_recorded, "count"),
+      GROUTING_METRIC(trace_events_dropped, "count"),
+      GROUTING_METRIC(trace_buffer_high_water, "count"),
+      {"tenants", "count", true,
+       [](const ClusterMetrics& m) {
+         return static_cast<double>(std::max<size_t>(1, m.per_tenant.size()));
+       }},
+      GROUTING_METRIC(queries_shed, "count"),
+      {"shed_rate", "fraction", false,
+       [](const ClusterMetrics& m) {
+         return TenantMetrics{.queries = m.queries, .shed = m.queries_shed}.ShedRate();
+       }},
+      {"max_tenant_p99_ms", "ms", false,
+       MaxTenantPercentile<&TenantMetrics::p99_response_ms>},
+      {"max_tenant_p999_ms", "ms", false,
+       MaxTenantPercentile<&TenantMetrics::p999_response_ms>},
+      GROUTING_METRIC(mutations_applied, "count"),
+      GROUTING_METRIC(index_refreshes, "count"),
+      GROUTING_METRIC(stale_distance_error, "ratio"),
+  };
+  return kFields;
+}
+
+#undef GROUTING_METRIC
+
+std::string FormatMetric(const MetricField& field, const ClusterMetrics& m,
+                         int precision) {
+  char buf[40];
+  const double v = field.get(m);
+  if (field.integer) {
+    std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+  }
+  return buf;
+}
+
+std::ostream& operator<<(std::ostream& os, const ClusterMetrics& m) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "{";
+  for (const MetricField& field : ClusterMetricFields()) {
+    out << "\n  " << field.name << ": " << FormatMetric(field, m, 17);
+  }
+  for (const auto& [name, counts] :
+       {std::pair{"queries_per_processor", &m.queries_per_processor},
+        std::pair{"queries_per_router_shard", &m.queries_per_router_shard}}) {
+    out << "\n  " << name << ":";
+    for (const uint64_t count : *counts) {
+      out << ' ' << count;
+    }
+  }
+  for (const TenantMetrics& t : m.per_tenant) {
+    out << "\n  per_tenant[" << t.tenant << "]: queries " << t.queries << ", shed "
+        << t.shed << ", mean " << t.mean_response_ms << ", p50 " << t.p50_response_ms
+        << ", p99 " << t.p99_response_ms << ", p999 " << t.p999_response_ms;
+  }
+  return os << out.str() << "\n}";
 }
 
 ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -237,6 +238,8 @@ struct TenantMetrics {
     const uint64_t offered = queries + shed;
     return offered == 0 ? 0.0 : static_cast<double>(shed) / static_cast<double>(offered);
   }
+  // Field-by-field equality (doubles compared exactly).
+  bool operator==(const TenantMetrics&) const = default;
 };
 
 // One metrics struct for either engine. Times are virtual µs for the
@@ -358,7 +361,34 @@ struct ClusterMetrics {
     return total == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(total);
   }
   double WallSeconds() const { return makespan_us / 1e6; }
+  // Field-by-field equality, vectors and per_tenant included; doubles are
+  // compared exactly, which is what the determinism tests assert.
+  bool operator==(const ClusterMetrics&) const = default;
 };
+
+// One row of the metric descriptor table: a scalar ClusterMetrics field or a
+// key derived from several fields, its unit, and how to read it. The bench
+// JSON, the CLI report and the test printer all walk this one table.
+struct MetricField {
+  const char* name;  // the field's identifier, or the derived key
+  const char* unit;  // count, bytes, us, ms, q/s, ratio or fraction
+  bool integer;      // printed as an integer (counts) rather than a real
+  double (*get)(const ClusterMetrics&);
+};
+
+// Every scalar ClusterMetrics field in declaration order, plus the derived
+// keys hit_rate, tenants, shed_rate, max_tenant_p99_ms and
+// max_tenant_p999_ms. tools/check_docs.py fails when a field has no row.
+std::span<const MetricField> ClusterMetricFields();
+
+// One metric's value as text: integers as such, reals as %.<precision>g.
+std::string FormatMetric(const MetricField& field, const ClusterMetrics& m,
+                         int precision = 6);
+
+// Every table row as `name: value` (reals at full precision), then the
+// per-processor, per-shard and per-tenant vectors — so a failed equality
+// check names the fields that differ.
+std::ostream& operator<<(std::ostream& os, const ClusterMetrics& m);
 
 // One answered query, in completion order. `processor` is the processor
 // that executed it (post-stealing).
@@ -366,6 +396,8 @@ struct AnsweredQuery {
   uint64_t query_id = 0;
   uint32_t processor = 0;
   QueryResult result;
+
+  bool operator==(const AnsweredQuery&) const = default;
 };
 
 // What one incremental index-refresh pass did: how many dirty nodes the

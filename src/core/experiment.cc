@@ -168,9 +168,4 @@ ClusterMetrics ExperimentEnv::Run(EngineKind engine, const RunOptions& options,
   return cluster->Run(queries);
 }
 
-ClusterMetrics ExperimentEnv::RunDecoupled(const RunOptions& options,
-                                           std::span<const Query> queries) {
-  return Run(EngineKind::kSimulated, options, queries);
-}
-
 }  // namespace grouting

@@ -8,7 +8,7 @@
 // Run() assembles a fresh cluster (cold caches, as in the paper) on the
 // requested engine — EngineKind::kSimulated for the paper's modelled
 // cluster, EngineKind::kThreaded for real threads — and runs the hotspot
-// workload. RunDecoupled() is the historical simulated-engine shim.
+// workload.
 
 #ifndef GROUTING_SRC_CORE_EXPERIMENT_H_
 #define GROUTING_SRC_CORE_EXPERIMENT_H_
@@ -171,10 +171,6 @@ class ExperimentEnv {
   // workload implied by `options` (or `queries` if provided).
   ClusterMetrics Run(EngineKind engine, const RunOptions& options,
                      std::span<const Query> queries = {});
-
-  // Thin shim: Run(EngineKind::kSimulated, ...).
-  ClusterMetrics RunDecoupled(const RunOptions& options,
-                              std::span<const Query> queries = {});
 
   uint64_t seed() const { return seed_; }
 

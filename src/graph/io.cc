@@ -1,6 +1,5 @@
 #include "src/graph/io.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -55,15 +54,22 @@ std::optional<Graph> ReadEdgeListText(const std::string& path) {
   if (f == nullptr) {
     return std::nullopt;
   }
+  // Fields are read 64 bits wide, so "-1" or an overflowing id lands at or
+  // above kInvalidNode and is rejected instead of wrapping into range.
+  const auto valid_node = [](unsigned long long u) { return u < kInvalidNode; };
+  const auto valid_label = [](unsigned long long l) { return l <= 0xFFFF; };
   GraphBuilder builder;
   char line[256];
   bool first = true;
   while (std::fgets(line, sizeof(line), f.get()) != nullptr) {
     if (line[0] == '#') {
       if (first) {
-        size_t declared_nodes = 0;
-        if (std::sscanf(line, "# grouting-edgelist %zu", &declared_nodes) == 1 &&
+        unsigned long long declared_nodes = 0;
+        if (std::sscanf(line, "# grouting-edgelist %llu", &declared_nodes) == 1 &&
             declared_nodes > 0) {
+          if (declared_nodes > kInvalidNode) {
+            return std::nullopt;
+          }
           builder.AddNode(static_cast<NodeId>(declared_nodes - 1));
         }
       }
@@ -72,22 +78,26 @@ std::optional<Graph> ReadEdgeListText(const std::string& path) {
     }
     first = false;
     if (line[0] == 'L') {
-      unsigned node = 0;
-      unsigned label = 0;
-      if (std::sscanf(line, "L %u %u", &node, &label) != 2) {
+      unsigned long long node = 0;
+      unsigned long long label = 0;
+      if (std::sscanf(line, "L %llu %llu", &node, &label) != 2 || !valid_node(node) ||
+          !valid_label(label)) {
         return std::nullopt;
       }
       builder.AddNode(static_cast<NodeId>(node), static_cast<Label>(label));
       continue;
     }
-    unsigned src = 0;
-    unsigned dst = 0;
-    unsigned label = 0;
-    const int fields = std::sscanf(line, "%u %u %u", &src, &dst, &label);
+    unsigned long long src = 0;
+    unsigned long long dst = 0;
+    unsigned long long label = 0;
+    const int fields = std::sscanf(line, "%llu %llu %llu", &src, &dst, &label);
     if (fields < 2) {
       if (line[0] == '\n' || line[0] == '\0') {
         continue;  // blank line
       }
+      return std::nullopt;
+    }
+    if (!valid_node(src) || !valid_node(dst) || !valid_label(label)) {
       return std::nullopt;
     }
     builder.AddEdge(static_cast<NodeId>(src), static_cast<NodeId>(dst),
@@ -135,7 +145,8 @@ std::optional<Graph> ReadBinary(const std::string& path) {
   uint64_t n = 0;
   uint64_t m = 0;
   if (!ReadBlob(f.get(), &magic, sizeof(magic)) || magic != kBinaryMagic ||
-      !ReadBlob(f.get(), &n, sizeof(n)) || !ReadBlob(f.get(), &m, sizeof(m))) {
+      !ReadBlob(f.get(), &n, sizeof(n)) || !ReadBlob(f.get(), &m, sizeof(m)) ||
+      n >= kInvalidNode) {
     return std::nullopt;
   }
   GraphBuilder builder(n);
@@ -161,6 +172,9 @@ std::optional<Graph> ReadBinary(const std::string& path) {
       return std::nullopt;
     }
     for (const Edge& e : buf) {
+      if (e.dst >= n) {
+        return std::nullopt;  // corrupt snapshot: edge leaves the node range
+      }
       builder.AddEdge(u, e.dst, e.label);
     }
     edges_seen += deg;

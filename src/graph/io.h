@@ -17,11 +17,14 @@ namespace grouting {
 bool WriteEdgeListText(const Graph& g, const std::string& path);
 
 // Parses the format above. Unlabeled plain "<src> <dst>" lines are accepted
-// too (label 0). Returns nullopt on parse or I/O failure.
+// too (label 0). Returns nullopt on parse or I/O failure, and on node ids at
+// or above kInvalidNode, a header count above it, or labels above 0xFFFF.
 std::optional<Graph> ReadEdgeListText(const std::string& path);
 
 // Binary snapshot (magic + counts + raw CSR arrays). Not portable across
-// endianness; intended for local caching only.
+// endianness; intended for local caching only. ReadBinary returns nullopt
+// on a truncated file, a node count at or above kInvalidNode, or an edge
+// whose target lies outside the node range.
 bool WriteBinary(const Graph& g, const std::string& path);
 std::optional<Graph> ReadBinary(const std::string& path);
 

@@ -3,8 +3,8 @@
 // The paper's cluster runs 40 Gbps Infiniband with RDMA (5-10 µs per
 // RAMCloud get) and 10 Gbps Ethernet. We reproduce both as network profiles
 // and add calibrated service/compute costs. Absolute values are documented
-// constants — EXPERIMENTS.md compares result *shapes*, which depend on the
-// ratios (network vs compute vs cache maintenance), not on the absolute
+// constants — the figure benches compare result *shapes*, which depend on
+// the ratios (network vs compute vs cache maintenance), not on the absolute
 // microsecond numbers.
 
 #ifndef GROUTING_SRC_NET_COST_MODEL_H_

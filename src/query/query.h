@@ -58,6 +58,8 @@ struct QueryResult {
   // Reachability.
   bool reachable = false;
   int32_t distance = -1;  // hop distance if reachable (-1 otherwise)
+
+  bool operator==(const QueryResult&) const = default;
 };
 
 // Everything the execution engines need to account for one query's work:

@@ -33,7 +33,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -47,8 +46,6 @@ enum class AdjacencyEncoding {
   kRaw,          // v1 fixed-width layout
   kDeltaVarint,  // v2 delta + LEB128 varint layout
 };
-
-std::string AdjacencyEncodingName(AdjacencyEncoding encoding);
 
 // Decoded adjacency entry held in processor caches.
 struct AdjacencyEntry {

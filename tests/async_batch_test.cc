@@ -185,13 +185,7 @@ TEST_F(AsyncBatchTest, WindowOneIsDeterministicallyIdenticalOnSim) {
         MakeClusterEngine(EngineKind::kSimulated, g, config, env_->MakeStrategy(opts));
     const ClusterMetrics ma = a->Run(queries);
     const ClusterMetrics mb = b->Run(queries);
-    EXPECT_DOUBLE_EQ(ma.mean_response_ms, mb.mean_response_ms);
-    EXPECT_DOUBLE_EQ(ma.p95_response_ms, mb.p95_response_ms);
-    EXPECT_DOUBLE_EQ(ma.makespan_us, mb.makespan_us);
-    EXPECT_EQ(ma.cache_hits, mb.cache_hits);
-    EXPECT_EQ(ma.cache_misses, mb.cache_misses);
-    EXPECT_EQ(ma.storage_batches, mb.storage_batches);
-    EXPECT_EQ(ma.queries_per_processor, mb.queries_per_processor);
+    EXPECT_EQ(ma, mb);
     // The synchronous path reports no overlap: nothing runs under a fetch.
     EXPECT_DOUBLE_EQ(ma.fetch_overlap_us, 0.0);
     ExpectSameAnswers(SortedAnswers(*a), SortedAnswers(*b));

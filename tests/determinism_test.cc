@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <functional>
 
 #include "src/core/grouting.h"
 
@@ -23,52 +23,12 @@ constexpr RoutingSchemeKind kAllSchemes[] = {
 
 constexpr uint64_t kSeeds[] = {1, 7, 23, 31, 4242};
 
-// Every ClusterMetrics field, compared exactly. Doubles use EXPECT_EQ on
-// purpose: determinism means the same float ops in the same order, so even
-// the last ulp must match.
-void ExpectMetricsIdentical(const ClusterMetrics& a, const ClusterMetrics& b) {
-  EXPECT_EQ(a.queries, b.queries);
-  EXPECT_EQ(a.makespan_us, b.makespan_us);
-  EXPECT_EQ(a.throughput_qps, b.throughput_qps);
-  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
-  EXPECT_EQ(a.p50_response_ms, b.p50_response_ms);
-  EXPECT_EQ(a.p95_response_ms, b.p95_response_ms);
-  EXPECT_EQ(a.p99_response_ms, b.p99_response_ms);
-  EXPECT_EQ(a.p999_response_ms, b.p999_response_ms);
-  EXPECT_EQ(a.mean_queue_wait_ms, b.mean_queue_wait_ms);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.nodes_visited, b.nodes_visited);
-  EXPECT_EQ(a.bytes_from_storage, b.bytes_from_storage);
-  EXPECT_EQ(a.storage_batches, b.storage_batches);
-  EXPECT_EQ(a.steals, b.steals);
-  EXPECT_EQ(a.queries_per_processor, b.queries_per_processor);
-  EXPECT_EQ(a.queries_per_router_shard, b.queries_per_router_shard);
-  EXPECT_EQ(a.gossip_rounds, b.gossip_rounds);
-  EXPECT_EQ(a.router_ema_divergence, b.router_ema_divergence);
-  EXPECT_EQ(a.sessions_migrated, b.sessions_migrated);
-  EXPECT_EQ(a.sticky_evictions, b.sticky_evictions);
-  EXPECT_EQ(a.router_load_imbalance, b.router_load_imbalance);
-  EXPECT_EQ(a.batches_inflight_peak, b.batches_inflight_peak);
-  EXPECT_EQ(a.fetch_overlap_us, b.fetch_overlap_us);
-  EXPECT_EQ(a.partitions_migrated, b.partitions_migrated);
-  EXPECT_EQ(a.storage_load_imbalance, b.storage_load_imbalance);
-  EXPECT_EQ(a.repartition_stall_us, b.repartition_stall_us);
-  EXPECT_EQ(a.partitions_replicated, b.partitions_replicated);
-  EXPECT_EQ(a.replica_reads, b.replica_reads);
-  EXPECT_EQ(a.replica_demotions, b.replica_demotions);
-  EXPECT_EQ(a.adjacency_compression_ratio, b.adjacency_compression_ratio);
-  EXPECT_EQ(a.cache_entries, b.cache_entries);
-  EXPECT_EQ(a.decompress_us, b.decompress_us);
-  EXPECT_EQ(a.trace_events_recorded, b.trace_events_recorded);
-  EXPECT_EQ(a.trace_events_dropped, b.trace_events_dropped);
-  EXPECT_EQ(a.trace_buffer_high_water, b.trace_buffer_high_water);
-  EXPECT_EQ(a.mutations_applied, b.mutations_applied);
-  EXPECT_EQ(a.index_refreshes, b.index_refreshes);
-  EXPECT_EQ(a.stale_distance_error, b.stale_distance_error);
-}
-
-TEST(DeterminismTest, SimMetricsAreBitIdenticalAcrossRuns) {
+// Runs every seed x scheme twice on the simulated engine with the full
+// adaptive stack (repartitioning + hot-partition replication + async fetch)
+// plus whatever `configure` adds, and expects the two runs to agree on every
+// ClusterMetrics field, per_tenant included. Doubles compare exactly on
+// purpose: determinism means the same float ops in the same order.
+void ExpectDeterministic(const std::function<void(RunOptions*)>& configure) {
   for (const uint64_t seed : kSeeds) {
     ExperimentEnv env(DatasetId::kWebGraphLike, /*scale=*/0.06, seed);
     const auto queries = env.SkewedWorkload(/*sessions=*/16, /*queries=*/150,
@@ -87,11 +47,9 @@ TEST(DeterminismTest, SimMetricsAreBitIdenticalAcrossRuns) {
       opts.repartition_cap = 4;
       opts.partitions_per_server = 4;
       opts.replication_top_k = 2;
-      opts.max_replicas_per_partition = 2;
-      opts.replica_demote_threshold = 0.1;
       opts.gossip_period_us = 50.0;
       opts.arrival_gap_us = 2.0;
-      opts.trace_sample_every_n = 3;
+      configure(&opts);
 
       const ClusterMetrics first = env.Run(EngineKind::kSimulated, opts, queries);
       const ClusterMetrics second = env.Run(EngineKind::kSimulated, opts, queries);
@@ -99,51 +57,26 @@ TEST(DeterminismTest, SimMetricsAreBitIdenticalAcrossRuns) {
                    << "seed " << seed << ", scheme "
                    << RoutingSchemeKindName(scheme));
       EXPECT_EQ(first.queries, queries.size());
-      ExpectMetricsIdentical(first, second);
+      EXPECT_EQ(first.mutations_applied, opts.enable_mutations ? opts.num_mutations : 0);
+      EXPECT_EQ(first, second);
     }
   }
+}
+
+TEST(DeterminismTest, SimMetricsAreBitIdenticalAcrossRuns) {
+  ExpectDeterministic([](RunOptions* opts) { opts->trace_sample_every_n = 3; });
 }
 
 TEST(DeterminismTest, SimMetricsAreBitIdenticalUnderOnlineMutations) {
   // Same invariant with the online write path live: timed mutation events
   // interleave with queries, migrations, and replica churn in virtual time,
-  // and index maintenance runs on the gossip cadence — two identical runs
-  // must still agree on every counter and every double, last ulp included.
-  for (const uint64_t seed : kSeeds) {
-    ExperimentEnv env(DatasetId::kWebGraphLike, /*scale=*/0.06, seed);
-    const auto queries = env.SkewedWorkload(/*sessions=*/16, /*queries=*/150,
-                                            /*zipf_s=*/1.3);
-    for (const RoutingSchemeKind scheme : kAllSchemes) {
-      RunOptions opts;
-      opts.scheme = scheme;
-      opts.processors = 3;
-      opts.storage_servers = 4;
-      opts.num_landmarks = 12;
-      opts.min_separation = 2;
-      opts.dimensions = 4;
-      opts.cache_bytes = 32 << 10;
-      opts.max_inflight_batches = 2;
-      opts.repartition_threshold = 1.1;
-      opts.repartition_cap = 4;
-      opts.partitions_per_server = 4;
-      opts.replication_top_k = 2;
-      opts.gossip_period_us = 50.0;
-      opts.arrival_gap_us = 2.0;
-      opts.enable_mutations = true;
-      opts.num_mutations = 96;
-      opts.mutation_gap_us = 20.0;
-      opts.index_refresh_period_us = 100.0;
-
-      const ClusterMetrics first = env.Run(EngineKind::kSimulated, opts, queries);
-      const ClusterMetrics second = env.Run(EngineKind::kSimulated, opts, queries);
-      SCOPED_TRACE(::testing::Message()
-                   << "seed " << seed << ", scheme "
-                   << RoutingSchemeKindName(scheme));
-      EXPECT_EQ(first.queries, queries.size());
-      EXPECT_EQ(first.mutations_applied, 96u);
-      ExpectMetricsIdentical(first, second);
-    }
-  }
+  // and index maintenance runs on the gossip cadence.
+  ExpectDeterministic([](RunOptions* opts) {
+    opts->enable_mutations = true;
+    opts->num_mutations = 96;
+    opts->mutation_gap_us = 20.0;
+    opts->index_refresh_period_us = 100.0;
+  });
 }
 
 }  // namespace

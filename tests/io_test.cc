@@ -86,6 +86,55 @@ TEST(IoTest, ReadRejectsGarbage) {
   std::remove(path.c_str());
 }
 
+// Each line set must be refused: ids that wrap to kInvalidNode (a negative
+// id used to overflow the CSR build), a header count past the id space, and
+// labels that do not fit in 16 bits (silently truncated before).
+TEST(IoTest, ReadRejectsOutOfRangeIdsAndLabels) {
+  const char* const kBad[] = {
+      "0 -1 0\n",
+      "-1 0\n",
+      "4294967295 0\n",
+      "0 99999999999999999999\n",
+      "# grouting-edgelist 4294967296\n0 1\n",
+      "0 1 65536\n",
+      "L 0 65536\n",
+      "L -1 1\n",
+  };
+  const std::string path = TempPath("out_of_range.edges");
+  for (const char* text : kBad) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text, f);
+    std::fclose(f);
+    EXPECT_FALSE(ReadEdgeListText(path).has_value()) << text;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, BinaryRejectsOutOfRangeCountsAndEdges) {
+  const std::string path = TempPath("out_of_range.bin");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint64_t header[3] = {0x47524F5554473031ULL, ~0ULL, 0};  // n past the id space
+  std::fwrite(header, sizeof(uint64_t), 3, f);
+  std::fclose(f);
+  EXPECT_FALSE(ReadBinary(path).has_value());
+
+  // A two-node snapshot whose only edge points at node 7.
+  GraphBuilder b;
+  b.AddEdge(0, 1);
+  ASSERT_TRUE(WriteBinary(b.Build(), path));
+  f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const long dst_offset = 3 * sizeof(uint64_t) + 2 * sizeof(Label) + sizeof(uint32_t);
+  const NodeId bad_dst = 7;
+  ASSERT_EQ(std::fseek(f, dst_offset, SEEK_SET), 0);
+  std::fwrite(&bad_dst, sizeof(bad_dst), 1, f);
+  std::fclose(f);
+  EXPECT_FALSE(ReadBinary(path).has_value());
+  std::remove(path.c_str());
+}
+
 TEST(IoTest, ReadMissingFileFails) {
   EXPECT_FALSE(ReadEdgeListText("/nonexistent/definitely/missing").has_value());
   EXPECT_FALSE(ReadBinary("/nonexistent/definitely/missing").has_value());

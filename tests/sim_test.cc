@@ -148,9 +148,7 @@ TEST_F(DecoupledSimTest, DeterministicAcrossRuns) {
   DecoupledClusterSim b(graph_, BaseConfig(), std::make_unique<HashStrategy>());
   auto ma = a.Run(queries_);
   auto mb = b.Run(queries_);
-  EXPECT_DOUBLE_EQ(ma.makespan_us, mb.makespan_us);
-  EXPECT_EQ(ma.cache_hits, mb.cache_hits);
-  EXPECT_EQ(ma.steals, mb.steals);
+  EXPECT_EQ(ma, mb);
 }
 
 TEST_F(DecoupledSimTest, MoreProcessorsDoNotReduceThroughput) {

@@ -16,6 +16,10 @@ police prose:
    docs/METRICS.md mirrors them; an uncommented field is a field the next
    reader cannot interpret.
 
+3. Every `ClusterMetrics` field has a docs/METRICS.md row and, unless it is
+   a vector, a `ClusterMetricFields()` row (src/core/cluster_engine.cc); every
+   table row, derived keys included, has a docs/METRICS.md row too.
+
 Usage: tools/check_docs.py [--root <repo root>]
 """
 
@@ -28,6 +32,12 @@ import sys
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 STRUCTS = ("ClusterConfig", "ClusterMetrics")
 HEADER = os.path.join("src", "core", "cluster_engine.h")
+TABLE_SOURCE = os.path.join("src", "core", "cluster_engine.cc")
+METRICS_DOC = os.path.join("docs", "METRICS.md")
+
+# ClusterMetricFields() rows: GROUTING_METRIC(field, ...) or {"derived_key", ...
+TABLE_ROW_RE = re.compile(r'GROUTING_METRIC\((\w+),|^\s*\{"(\w+)",', re.M)
+DOC_ROW_RE = re.compile(r"^\| `(\w+)` \|", re.M)
 
 # A field declaration: ends in ';', is not a method/using/friend line.
 FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s*&\]\[]*\s+(\w+)\s*(=[^;]*|\{[^;]*\})?;")
@@ -81,7 +91,8 @@ def struct_body(lines, name):
     return body
 
 
-def check_field_comments(root):
+def check_field_comments(root, metric_fields):
+    """Doc-comment check; collects ClusterMetrics (name, line) pairs."""
     path = os.path.join(root, HEADER)
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -105,11 +116,14 @@ def check_field_comments(root):
                 prev_was_comment = True
                 continue
             m = FIELD_RE.match(line)
-            if m is None or "(" in line.split("//")[0].rsplit(";", 1)[0].split("=")[0]:
+            if (m is None or m.group(1) == "operator"
+                    or "(" in line.split("//")[0].rsplit(";", 1)[0].split("=")[0]):
                 # method, constructor, using-decl, ... — not a field
                 prev_was_comment = False
                 continue
             fields += 1
+            if name == "ClusterMetrics":
+                metric_fields.append((m.group(1), line))
             documented = prev_was_comment or "//" in line
             if not documented:
                 failures.append(
@@ -119,13 +133,40 @@ def check_field_comments(root):
     return failures
 
 
+def check_metric_table(root, metric_fields):
+    def read(rel):
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            return f.read()
+
+    source = read(TABLE_SOURCE)
+    start = source.find("ClusterMetricFields() {")
+    table = source[start:source.find("return kFields;", start)] if start >= 0 else ""
+    rows = {a or b for a, b in TABLE_ROW_RE.findall(table)}
+    if not rows:
+        return [f"{TABLE_SOURCE}: ClusterMetricFields() table not found"]
+    doc_rows = set(DOC_ROW_RE.findall(read(METRICS_DOC)))
+    failures = []
+    for field, decl in metric_fields:
+        if "std::vector" not in decl and field not in rows:
+            failures.append(f"ClusterMetrics::{field} has no row in ClusterMetricFields() "
+                            f"({TABLE_SOURCE})")
+        if field not in doc_rows:
+            failures.append(f"ClusterMetrics::{field} has no row in {METRICS_DOC}")
+    for row in sorted(rows - doc_rows):
+        failures.append(f"ClusterMetricFields() row {row} has no row in {METRICS_DOC}")
+    print(f"metric table check: {len(metric_fields)} fields, {len(rows)} table rows")
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     args = ap.parse_args()
 
-    failures = check_links(args.root) + check_field_comments(args.root)
+    metric_fields = []
+    failures = (check_links(args.root) + check_field_comments(args.root, metric_fields)
+                + check_metric_table(args.root, metric_fields))
     if failures:
         print("\nDOCS GATE FAILED:")
         for f in failures:
