@@ -26,6 +26,20 @@ bool ReadBlob(std::FILE* f, void* data, size_t bytes) {
   return std::fread(data, 1, bytes, f) == bytes;
 }
 
+// Bytes from the current position to the end of the file; false on error.
+bool RemainingBytes(std::FILE* f, uint64_t* bytes) {
+  const long pos = std::ftell(f);
+  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) {
+    return false;
+  }
+  const long end = std::ftell(f);
+  if (end < pos || std::fseek(f, pos, SEEK_SET) != 0) {
+    return false;
+  }
+  *bytes = static_cast<uint64_t>(end - pos);
+  return true;
+}
+
 }  // namespace
 
 bool WriteEdgeListText(const Graph& g, const std::string& path) {
@@ -149,6 +163,14 @@ std::optional<Graph> ReadBinary(const std::string& path) {
       n >= kInvalidNode) {
     return std::nullopt;
   }
+  // The counts size the allocations below, so they must fit in the rest of
+  // the file first: a label and a degree per node, one Edge per edge.
+  constexpr uint64_t kPerNodeBytes = sizeof(Label) + sizeof(uint32_t);
+  uint64_t rest = 0;
+  if (!RemainingBytes(f.get(), &rest) || n > rest / kPerNodeBytes ||
+      m > (rest - n * kPerNodeBytes) / sizeof(Edge)) {
+    return std::nullopt;
+  }
   GraphBuilder builder(n);
   if (n > 0) {
     builder.AddNode(static_cast<NodeId>(n - 1));
@@ -164,7 +186,7 @@ std::optional<Graph> ReadBinary(const std::string& path) {
   std::vector<Edge> buf;
   for (NodeId u = 0; u < n; ++u) {
     uint32_t deg = 0;
-    if (!ReadBlob(f.get(), &deg, sizeof(deg))) {
+    if (!ReadBlob(f.get(), &deg, sizeof(deg)) || deg > m - edges_seen) {
       return std::nullopt;
     }
     buf.resize(deg);

@@ -215,13 +215,8 @@ std::vector<AdjacencyPtr> DirectGraphSource::FetchBatch(std::span<const NodeId> 
       result.push_back(nullptr);
       continue;
     }
-    auto entry = std::make_shared<AdjacencyEntry>();
-    entry->node = u;
-    entry->node_label = graph_.node_label(u);
-    const auto out = graph_.OutNeighbors(u);
-    const auto in = graph_.InNeighbors(u);
-    entry->out.assign(out.begin(), out.end());
-    entry->in.assign(in.begin(), in.end());
+    AdjacencyPtr entry = MakeAdjacency(u, graph_.node_label(u), graph_.OutNeighbors(u),
+                                       graph_.InNeighbors(u));
     trace_.bytes_fetched += entry->SerializedBytes();
     batch.bytes += entry->SerializedBytes();
     batch.values += 1;

@@ -137,11 +137,18 @@ void AppendRleLabels(std::vector<uint8_t>* buf, std::span<const Edge> edges) {
   }
 }
 
-bool ReadDeltaDsts(const uint8_t** pp, const uint8_t* end,
-                   std::vector<Edge>* edges) {
+// Writes one v1 edge record at `p`.
+void StoreEdge(uint8_t* p, const Edge& e) {
+  std::memcpy(p, &e.dst, sizeof(e.dst));
+  std::memcpy(p + 4, &e.label, sizeof(e.label));
+}
+
+// Fills the dst field of `count` v1 records starting at `records`.
+bool ReadDeltaDsts(const uint8_t** pp, const uint8_t* end, uint8_t* records,
+                   size_t count) {
   const uint8_t* p = *pp;
   int64_t prev = 0;
-  for (Edge& e : *edges) {
+  for (size_t i = 0; i < count; ++i) {
     uint64_t raw = 0;
     if (!ReadVarint(&p, end, &raw)) {
       return false;
@@ -150,28 +157,31 @@ bool ReadDeltaDsts(const uint8_t** pp, const uint8_t* end,
     if (dst < 0 || dst > static_cast<int64_t>(kInvalidNode)) {
       return false;
     }
-    e.dst = static_cast<NodeId>(dst);
+    const auto node = static_cast<NodeId>(dst);
+    std::memcpy(records + i * kV1EdgeBytes, &node, sizeof(node));
     prev = dst;
   }
   *pp = p;
   return true;
 }
 
-bool ReadRleLabels(const uint8_t** pp, const uint8_t* end,
-                   std::vector<Edge>* edges) {
+// Fills the label field of `count` v1 records starting at `records`.
+bool ReadRleLabels(const uint8_t** pp, const uint8_t* end, uint8_t* records,
+                   size_t count) {
   const uint8_t* p = *pp;
   size_t i = 0;
-  while (i < edges->size()) {
+  while (i < count) {
     uint64_t run = 0;
     uint64_t label = 0;
     if (!ReadVarint(&p, end, &run) || !ReadVarint(&p, end, &label)) {
       return false;
     }
-    if (run == 0 || run > edges->size() - i || label > 0xffff) {
+    if (run == 0 || run > count - i || label > 0xffff) {
       return false;
     }
-    for (uint64_t k = 0; k < run; ++k) {
-      (*edges)[i++].label = static_cast<Label>(label);
+    const auto l = static_cast<Label>(label);
+    for (uint64_t k = 0; k < run; ++k, ++i) {
+      std::memcpy(records + i * kV1EdgeBytes + 4, &l, sizeof(l));
     }
   }
   *pp = p;
@@ -216,25 +226,18 @@ std::vector<uint8_t> EncodeV2(NodeId node, Label node_label,
   return buf;
 }
 
-AdjacencyPtr DecodeV1(std::span<const uint8_t> bytes) {
-  auto entry = std::make_shared<AdjacencyEntry>();
-  entry->node = ReadU32(bytes.data());
-  entry->node_label = ReadU16(bytes.data() + 4);
-  const uint32_t out_count = ReadU32(bytes.data() + 8);
-  const uint32_t in_count = ReadU32(bytes.data() + 12);
-  const uint8_t* p = bytes.data() + 16;
-  entry->out.resize(out_count);
-  for (uint32_t i = 0; i < out_count; ++i, p += 6) {
-    entry->out[i] = Edge{ReadU32(p), ReadU16(p + 4)};
-  }
-  entry->in.resize(in_count);
-  for (uint32_t i = 0; i < in_count; ++i, p += 6) {
-    entry->in[i] = Edge{ReadU32(p), ReadU16(p + 4)};
-  }
+// The blob already passed LooksLikeRawV1, so its edge records are adopted
+// with one copy.
+std::shared_ptr<AdjacencyEntry> DecodeV1(std::span<const uint8_t> bytes) {
+  uint8_t* records = nullptr;
+  auto entry = AdjacencyEntry::Allocate(ReadU32(bytes.data()), ReadU16(bytes.data() + 4),
+                                        ReadU32(bytes.data() + 8),
+                                        ReadU32(bytes.data() + 12), &records);
+  std::memcpy(records, bytes.data() + 16, bytes.size() - 16);
   return entry;
 }
 
-AdjacencyPtr DecodeV2(std::span<const uint8_t> bytes) {
+std::shared_ptr<AdjacencyEntry> DecodeV2(std::span<const uint8_t> bytes) {
   size_t pos = 2;  // past magic + version
   uint64_t node = 0;
   uint64_t label = 0;
@@ -250,17 +253,17 @@ AdjacencyPtr DecodeV2(std::span<const uint8_t> bytes) {
       in_count > bytes.size() || out_count + in_count > bytes.size() - pos) {
     return nullptr;
   }
-  auto entry = std::make_shared<AdjacencyEntry>();
-  entry->node = static_cast<NodeId>(node);
-  entry->node_label = static_cast<Label>(label);
-  entry->out.resize(out_count);
-  entry->in.resize(in_count);
+  uint8_t* records = nullptr;
+  auto entry = AdjacencyEntry::Allocate(
+      static_cast<NodeId>(node), static_cast<Label>(label),
+      static_cast<uint32_t>(out_count), static_cast<uint32_t>(in_count), &records);
+  uint8_t* in_records = records + kV1EdgeBytes * out_count;
   const uint8_t* p = bytes.data() + pos;
   const uint8_t* end = bytes.data() + bytes.size();
-  if (!ReadDeltaDsts(&p, end, &entry->out) ||
-      !ReadRleLabels(&p, end, &entry->out) ||
-      !ReadDeltaDsts(&p, end, &entry->in) ||
-      !ReadRleLabels(&p, end, &entry->in)) {
+  if (!ReadDeltaDsts(&p, end, records, out_count) ||
+      !ReadRleLabels(&p, end, records, out_count) ||
+      !ReadDeltaDsts(&p, end, in_records, in_count) ||
+      !ReadRleLabels(&p, end, in_records, in_count)) {
     return nullptr;
   }
   const size_t remaining = static_cast<size_t>(end - p);
@@ -270,41 +273,90 @@ AdjacencyPtr DecodeV2(std::span<const uint8_t> bytes) {
   return entry;
 }
 
+// Allocator for std::allocate_shared that over-allocates by `tail_bytes`,
+// so the control block, the entry and its edge records share one chunk.
+// The entry lives inside the control block, so at least `tail_bytes` of the
+// chunk follow the entry's last byte.
+template <typename T>
+struct TailAllocator {
+  using value_type = T;
+
+  explicit TailAllocator(size_t tail) : tail_bytes(tail) {}
+  template <typename U>
+  TailAllocator(const TailAllocator<U>& other) : tail_bytes(other.tail_bytes) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T) + tail_bytes));
+  }
+  void deallocate(T* p, size_t) { ::operator delete(p); }
+
+  size_t tail_bytes;
+};
+
 }  // namespace
+
+std::shared_ptr<AdjacencyEntry> AdjacencyEntry::Allocate(NodeId node, Label node_label,
+                                                         uint32_t out_count,
+                                                         uint32_t in_count,
+                                                         uint8_t** records) {
+  auto entry = std::allocate_shared<AdjacencyEntry>(
+      TailAllocator<AdjacencyEntry>(kV1EdgeBytes * (size_t{out_count} + in_count)), Key{},
+      node, node_label, out_count, in_count);
+  *records = entry->Records();
+  return entry;
+}
 
 std::vector<uint8_t> EncodeAdjacency(const Graph& g, NodeId u,
                                      AdjacencyEncoding encoding) {
-  const auto out = g.OutNeighbors(u);
-  const auto in = g.InNeighbors(u);
-  return encoding == AdjacencyEncoding::kDeltaVarint
-             ? EncodeV2(u, g.node_label(u), out, in)
-             : EncodeV1(u, g.node_label(u), out, in);
+  return EncodeAdjacency(u, g.node_label(u), g.OutNeighbors(u), g.InNeighbors(u),
+                         encoding);
 }
 
-std::vector<uint8_t> EncodeAdjacency(const AdjacencyEntry& entry,
+std::vector<uint8_t> EncodeAdjacency(NodeId node, Label node_label,
+                                     std::span<const Edge> out, std::span<const Edge> in,
                                      AdjacencyEncoding encoding) {
   return encoding == AdjacencyEncoding::kDeltaVarint
-             ? EncodeV2(entry.node, entry.node_label, entry.out, entry.in)
-             : EncodeV1(entry.node, entry.node_label, entry.out, entry.in);
+             ? EncodeV2(node, node_label, out, in)
+             : EncodeV1(node, node_label, out, in);
+}
+
+AdjacencyPtr MakeAdjacency(NodeId node, Label node_label, std::span<const Edge> out,
+                           std::span<const Edge> in) {
+  GROUTING_CHECK(16 + kV1EdgeBytes * (out.size() + in.size()) <= UINT32_MAX);
+  uint8_t* p = nullptr;
+  auto entry = AdjacencyEntry::Allocate(node, node_label,
+                                        static_cast<uint32_t>(out.size()),
+                                        static_cast<uint32_t>(in.size()), &p);
+  for (const Edge& e : out) {
+    StoreEdge(p, e);
+    p += kV1EdgeBytes;
+  }
+  for (const Edge& e : in) {
+    StoreEdge(p, e);
+    p += kV1EdgeBytes;
+  }
+  return entry;
 }
 
 AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes, bool retain_wire) {
-  AdjacencyPtr decoded;
-  if (LooksLikeRawV1(bytes)) {
-    decoded = DecodeV1(bytes);
-  } else if (bytes.size() >= 2 && bytes[0] == kV2Magic && bytes[1] == kV2Version) {
-    decoded = DecodeV2(bytes);
+  std::shared_ptr<AdjacencyEntry> entry;
+  if (bytes.size() > UINT32_MAX) {
+    return nullptr;  // beyond what wire_bytes and the views' offsets can hold
   }
-  if (decoded == nullptr) {
+  if (LooksLikeRawV1(bytes)) {
+    entry = DecodeV1(bytes);
+  } else if (bytes.size() >= 2 && bytes[0] == kV2Magic && bytes[1] == kV2Version) {
+    entry = DecodeV2(bytes);
+  }
+  if (entry == nullptr) {
     return nullptr;
   }
-  auto* entry = const_cast<AdjacencyEntry*>(decoded.get());
-  entry->wire_bytes = bytes.size();
+  entry->wire_bytes = static_cast<uint32_t>(bytes.size());
   if (retain_wire) {
     entry->wire =
         std::make_shared<const std::vector<uint8_t>>(bytes.begin(), bytes.end());
   }
-  return decoded;
+  return entry;
 }
 
 }  // namespace grouting

@@ -31,6 +31,9 @@
 #ifndef GROUTING_SRC_STORAGE_ADJACENCY_H_
 #define GROUTING_SRC_STORAGE_ADJACENCY_H_
 
+#include <cstddef>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
@@ -47,16 +50,109 @@ enum class AdjacencyEncoding {
   kDeltaVarint,  // v2 delta + LEB128 varint layout
 };
 
-// Decoded adjacency entry held in processor caches.
+// Size in bytes of one edge record in the v1 layout (4-byte dst, 2-byte label).
+inline constexpr size_t kV1EdgeBytes = 6;
+
+// Read-only view of edge records in the v1 layout. Records are unaligned, so
+// each access copies one out into an Edge; iterators yield Edge by value.
+// A view lives inside an AdjacencyEntry's heap block and stores a 32-bit
+// offset from itself to its records rather than a pointer, so it is
+// neither copyable nor movable: take it by reference.
+class EdgeView {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Edge;
+    using difference_type = std::ptrdiff_t;
+    using reference = Edge;
+    using pointer = void;
+
+    Iterator() = default;
+    explicit Iterator(const uint8_t* p) : p_(p) {}
+
+    Edge operator*() const { return Load(p_); }
+    Iterator& operator++() {
+      p_ += kV1EdgeBytes;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      p_ += kV1EdgeBytes;
+      return old;
+    }
+    friend bool operator==(Iterator a, Iterator b) { return a.p_ == b.p_; }
+
+   private:
+    const uint8_t* p_ = nullptr;
+  };
+
+  // `records` must follow the view in the same allocation.
+  EdgeView(const uint8_t* records, uint32_t count)
+      : offset_(static_cast<uint32_t>(records - reinterpret_cast<const uint8_t*>(this))),
+        count_(count) {}
+  EdgeView(const EdgeView&) = delete;
+  EdgeView& operator=(const EdgeView&) = delete;
+
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  Edge operator[](size_t i) const { return Load(records() + i * kV1EdgeBytes); }
+  Iterator begin() const { return Iterator(records()); }
+  Iterator end() const { return Iterator(records() + size() * kV1EdgeBytes); }
+
+ private:
+  // Little-endian host assumed (x86/ARM64), as for the rest of the codec.
+  static Edge Load(const uint8_t* p) {
+    Edge e;
+    std::memcpy(&e.dst, p, sizeof(e.dst));
+    std::memcpy(&e.label, p + 4, sizeof(e.label));
+    return e;
+  }
+  const uint8_t* records() const {
+    return reinterpret_cast<const uint8_t*>(this) + offset_;
+  }
+
+  uint32_t offset_;
+  uint32_t count_;
+};
+
+// Decoded adjacency entry held in processor caches. One immutable heap
+// block holds the shared_ptr control block, this header, and then the out
+// and in edge records in the v1 layout, which `out` and `in` view.
+// MakeAdjacency and DecodeAdjacency build entries; entries are never copied.
 struct AdjacencyEntry {
-  NodeId node = kInvalidNode;
-  Label node_label = kNoLabel;
-  std::vector<Edge> out;
-  std::vector<Edge> in;
+ private:
+  struct Key {
+    explicit Key() = default;
+  };
+
+ public:
+  // Allocates the block for an entry with out_count + in_count edge records
+  // (all out records first) and sets *records to the first of them, for
+  // the caller to fill.
+  static std::shared_ptr<AdjacencyEntry> Allocate(NodeId node, Label node_label,
+                                                  uint32_t out_count, uint32_t in_count,
+                                                  uint8_t** records);
+
+  // Reachable only through Allocate, which reserves room for the records
+  // right after the entry.
+  AdjacencyEntry(Key, NodeId node, Label node_label, uint32_t out_count,
+                 uint32_t in_count)
+      : node(node),
+        node_label(node_label),
+        out(Records(), out_count),
+        in(Records() + size_t{out_count} * kV1EdgeBytes, in_count) {}
+  AdjacencyEntry(const AdjacencyEntry&) = delete;
+  AdjacencyEntry& operator=(const AdjacencyEntry&) = delete;
+
+  NodeId node;
+  Label node_label;
   // Wire size of the blob this entry was decoded from (== SerializedBytes()
   // for v1 blobs, typically much smaller for v2). 0 when the entry was built
   // directly rather than decoded — WireBytes() falls back to the v1 size.
-  size_t wire_bytes = 0;
+  uint32_t wire_bytes = 0;
+  EdgeView out;
+  EdgeView in;
   // The encoded blob itself, retained only when the decoder is asked to
   // (StorageTier retain-wire mode): compressed processor caches admit these
   // bytes instead of the decoded entry.
@@ -64,23 +160,39 @@ struct AdjacencyEntry {
 
   // Logical (v1) size: the decoded in-memory footprint every byte budget in
   // the paper's experiments is expressed in.
-  size_t SerializedBytes() const { return 16 + 6 * (out.size() + in.size()); }
+  size_t SerializedBytes() const {
+    return 16 + kV1EdgeBytes * (out.size() + in.size());
+  }
   size_t WireBytes() const { return wire_bytes == 0 ? SerializedBytes() : wire_bytes; }
+
+ private:
+  uint8_t* Records() {
+    return reinterpret_cast<uint8_t*>(this) + sizeof(AdjacencyEntry);
+  }
 };
 
 using AdjacencyPtr = std::shared_ptr<const AdjacencyEntry>;
+
+// Builds an entry from edge lists (the graph CSR, or a test's hand-made
+// lists), whose v1 size must stay under 4 GiB. WireBytes() is the v1 size.
+AdjacencyPtr MakeAdjacency(NodeId node, Label node_label, std::span<const Edge> out,
+                           std::span<const Edge> in);
 
 // Serialises node u's entry straight from the graph CSR.
 std::vector<uint8_t> EncodeAdjacency(const Graph& g, NodeId u,
                                      AdjacencyEncoding encoding = AdjacencyEncoding::kRaw);
 
-// Serialises an already-decoded entry (used for dynamic updates).
-std::vector<uint8_t> EncodeAdjacency(const AdjacencyEntry& entry,
-                                     AdjacencyEncoding encoding = AdjacencyEncoding::kRaw);
+// Serialises an entry given as edge lists (used for dynamic updates).
+std::vector<uint8_t> EncodeAdjacency(
+    NodeId node, Label node_label, std::span<const Edge> out, std::span<const Edge> in,
+    AdjacencyEncoding encoding = AdjacencyEncoding::kRaw);
 
 // Parses a wire blob of either version (auto-detected). Returns nullptr on
-// malformed input — never crashes, whatever the bytes. With `retain_wire`
-// the entry additionally keeps a copy of the blob (see AdjacencyEntry::wire).
+// malformed input — never crashes, whatever the bytes — and on blobs of
+// 4 GiB or more. A v1 blob's edge records are copied as they are; a v2
+// blob is transcoded into them. Either way the entry is one heap
+// allocation. With `retain_wire` the entry
+// additionally keeps a copy of the blob (see AdjacencyEntry::wire).
 AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes, bool retain_wire = false);
 
 }  // namespace grouting

@@ -50,16 +50,6 @@ std::optional<std::span<const uint8_t>> LogStructuredStore::Get(uint64_t key) {
   return std::span<const uint8_t>(seg.data.data() + loc.offset, loc.length);
 }
 
-std::vector<std::optional<std::span<const uint8_t>>> LogStructuredStore::MultiGet(
-    std::span<const uint64_t> keys) {
-  std::vector<std::optional<std::span<const uint8_t>>> result;
-  result.reserve(keys.size());
-  for (uint64_t key : keys) {
-    result.push_back(Get(key));
-  }
-  return result;
-}
-
 bool LogStructuredStore::Delete(uint64_t key) {
   ++stats_.deletes;
   auto it = index_.find(key);

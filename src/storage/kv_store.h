@@ -36,12 +36,6 @@ class LogStructuredStore {
   // never move existing records). nullopt if absent.
   std::optional<std::span<const uint8_t>> Get(uint64_t key);
 
-  // Batched lookup — the storage half of a multiget request: one index probe
-  // per key, positionally matching `keys`. Each returned span follows the
-  // same validity rule as Get(); stats count one get per key.
-  std::vector<std::optional<std::span<const uint8_t>>> MultiGet(
-      std::span<const uint64_t> keys);
-
   bool Delete(uint64_t key);
   bool Contains(uint64_t key) const { return index_.count(key) > 0; }
 

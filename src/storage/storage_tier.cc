@@ -19,13 +19,11 @@ AdjacencyPtr StorageServer::Get(NodeId node) {
 }
 
 std::vector<AdjacencyPtr> StorageServer::MultiGet(std::span<const NodeId> nodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  static_assert(sizeof(NodeId) <= sizeof(uint64_t));
-  std::vector<uint64_t> keys(nodes.begin(), nodes.end());
-  const auto blobs = store_.MultiGet(keys);
   std::vector<AdjacencyPtr> result;
   result.reserve(nodes.size());
-  for (const auto& blob : blobs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (NodeId node : nodes) {
+    const auto blob = store_.Get(node);
     ++stats_.get_requests;
     if (!blob.has_value()) {
       ++stats_.misses;
@@ -468,10 +466,9 @@ uint64_t StorageTier::MutateEdgeHalfLocked(NodeId key, NodeId other, Label label
   }
   const AdjacencyPtr current = DecodeAdjacency(*blob, /*retain_wire=*/false);
   GROUTING_CHECK(current != nullptr);
-  AdjacencyEntry entry = *current;
-  entry.wire.reset();
-  entry.wire_bytes = 0;
-  std::vector<Edge>& list = out ? entry.out : entry.in;
+  std::vector<Edge> out_edges(current->out.begin(), current->out.end());
+  std::vector<Edge> in_edges(current->in.begin(), current->in.end());
+  std::vector<Edge>& list = out ? out_edges : in_edges;
   const auto it = std::find_if(list.begin(), list.end(),
                                [other](const Edge& e) { return e.dst == other; });
   if (insert) {
@@ -485,7 +482,8 @@ uint64_t StorageTier::MutateEdgeHalfLocked(NodeId key, NodeId other, Label label
     }
     list.erase(it);
   }
-  WriteVersionedLocked(key, EncodeAdjacency(entry, encoding_));
+  WriteVersionedLocked(key, EncodeAdjacency(current->node, current->node_label, out_edges,
+                                            in_edges, encoding_));
   return 1;
 }
 

@@ -1,11 +1,15 @@
-// Tests for the v2 (delta + LEB128 varint) adjacency wire format: round-trip
-// identity against the v1 decoder, degenerate node shapes, corruption
-// handling (nullptr, never a crash), and the compressed processor cache
-// built on top of it.
+// Tests for the adjacency wire formats and the decoded entry: v2 (delta +
+// LEB128 varint) round-trip identity against the v1 decoder, byte-identical
+// v1 re-encoding, degenerate node shapes, corruption handling (nullptr,
+// never a crash or an out-of-range edge view), the one-allocation footprint
+// of a decoded entry, and the compressed processor cache built on top of it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -15,8 +19,39 @@
 #include "src/util/rng.h"
 #include "src/workload/datasets.h"
 
+// Counts every global operator new in this test binary, so a test can pin
+// how many heap allocations a call makes.
+std::atomic<uint64_t> g_heap_allocations{0};
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace grouting {
 namespace {
+
+std::vector<Edge> Edges(const EdgeView& view) { return {view.begin(), view.end()}; }
+
+// Reads every edge of an accepted entry through both the index and the
+// iterator paths; under ASan an out-of-range view fails here.
+void WalkEdges(const AdjacencyEntry& entry) {
+  for (const EdgeView* view : {&entry.out, &entry.in}) {
+    size_t i = 0;
+    for (const Edge& e : *view) {
+      ASSERT_LT(i, view->size());
+      EXPECT_EQ(e, (*view)[i]);
+      ++i;
+    }
+    EXPECT_EQ(i, view->size());
+  }
+  EXPECT_EQ(entry.SerializedBytes(), 16 + 6 * (entry.out.size() + entry.in.size()));
+}
 
 void ExpectEntriesEqual(const AdjacencyEntry& a, const AdjacencyEntry& b) {
   EXPECT_EQ(a.node, b.node);
@@ -98,15 +133,62 @@ TEST(AdjacencyV2Test, EmptySingletonAndHighDegreeNodes) {
 TEST(AdjacencyV2Test, UnsortedDynamicEntryRoundTrips) {
   // Entries built directly (dynamic updates) need not have sorted dsts;
   // zigzag deltas must carry negative gaps faithfully.
-  AdjacencyEntry entry;
-  entry.node = 12345;
-  entry.node_label = 7;
-  entry.out = {{900, 1}, {3, 2}, {kInvalidNode - 1, 3}, {10, 2}};
-  entry.in = {{5, 0}, {5, 0}, {2, 65535}};
-  const auto dv = EncodeAdjacency(entry, AdjacencyEncoding::kDeltaVarint);
+  const std::vector<Edge> out = {{900, 1}, {3, 2}, {kInvalidNode - 1, 3}, {10, 2}};
+  const std::vector<Edge> in = {{5, 0}, {5, 0}, {2, 65535}};
+  const AdjacencyPtr entry = MakeAdjacency(12345, 7, out, in);
+  EXPECT_EQ(Edges(entry->out), out);
+  EXPECT_EQ(Edges(entry->in), in);
+  const auto dv = EncodeAdjacency(12345, 7, out, in, AdjacencyEncoding::kDeltaVarint);
   const AdjacencyPtr decoded = DecodeAdjacency(dv);
   ASSERT_NE(decoded, nullptr);
-  ExpectEntriesEqual(entry, *decoded);
+  ExpectEntriesEqual(*entry, *decoded);
+}
+
+TEST(AdjacencyEntryTest, ReencodingDecodedEntryIsByteIdentical) {
+  const Graph g = GenerateBarabasiAlbert(400, 6, 16);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto raw = EncodeAdjacency(g, u, AdjacencyEncoding::kRaw);
+    const auto dv = EncodeAdjacency(g, u, AdjacencyEncoding::kDeltaVarint);
+    for (const auto* blob : {&raw, &dv}) {
+      const AdjacencyPtr decoded = DecodeAdjacency(*blob);
+      ASSERT_NE(decoded, nullptr);
+      const auto out = Edges(decoded->out);
+      const auto in = Edges(decoded->in);
+      EXPECT_EQ(EncodeAdjacency(decoded->node, decoded->node_label, out, in,
+                                AdjacencyEncoding::kRaw),
+                raw)
+          << "node " << u;
+      EXPECT_EQ(EncodeAdjacency(decoded->node, decoded->node_label, out, in,
+                                AdjacencyEncoding::kDeltaVarint),
+                dv)
+          << "node " << u;
+    }
+  }
+}
+
+TEST(AdjacencyEntryTest, DecodeIsOneHeapAllocation) {
+  GraphBuilder b;
+  for (NodeId v = 1; v < 200; ++v) {
+    b.AddEdge(0, v, static_cast<Label>(v % 3));
+    b.AddEdge(v, 0, 1);
+  }
+  const Graph g = b.Build();
+  for (const auto encoding : {AdjacencyEncoding::kRaw, AdjacencyEncoding::kDeltaVarint}) {
+    for (const NodeId u : {NodeId{0}, NodeId{7}}) {
+      const auto blob = EncodeAdjacency(g, u, encoding);
+      const uint64_t before = g_heap_allocations.load();
+      const AdjacencyPtr decoded = DecodeAdjacency(blob);
+      const uint64_t allocations = g_heap_allocations.load() - before;
+      ASSERT_NE(decoded, nullptr);
+      EXPECT_EQ(allocations, 1u) << "node " << u << " encoding "
+                                 << static_cast<int>(encoding);
+      EXPECT_EQ(decoded->out.size() + decoded->in.size(), g.Degree(u));
+    }
+  }
+  const uint64_t before = g_heap_allocations.load();
+  const AdjacencyPtr built = MakeAdjacency(0, 0, g.OutNeighbors(0), g.InNeighbors(0));
+  EXPECT_EQ(g_heap_allocations.load() - before, 1u);
+  EXPECT_EQ(built->out.size(), g.OutDegree(0));
 }
 
 TEST(AdjacencyV2Test, TruncatedInputReturnsNullNoCrash) {
@@ -127,10 +209,17 @@ TEST(AdjacencyV2Test, CorruptInputReturnsNullNoCrash) {
     const auto dv = EncodeAdjacency(g, u, AdjacencyEncoding::kDeltaVarint);
     // Every single-byte corruption either still parses to SOME entry or
     // returns nullptr — it must never crash or over-read (ASan enforces).
-    for (size_t pos = 0; pos < dv.size(); ++pos) {
-      auto bad = dv;
-      bad[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
-      (void)DecodeAdjacency(bad);
+    // Accepted entries have every edge walked, so a view past its block
+    // fails under ASan. The v1 blob gets the same treatment.
+    const auto raw = EncodeAdjacency(g, u, AdjacencyEncoding::kRaw);
+    for (const auto* blob : {&dv, &raw}) {
+      for (size_t pos = 0; pos < blob->size(); ++pos) {
+        auto bad = *blob;
+        bad[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
+        if (const AdjacencyPtr entry = DecodeAdjacency(bad)) {
+          WalkEdges(*entry);
+        }
+      }
     }
     // Random garbage of assorted sizes.
     for (int trial = 0; trial < 50; ++trial) {
@@ -138,7 +227,9 @@ TEST(AdjacencyV2Test, CorruptInputReturnsNullNoCrash) {
       for (auto& byte : junk) {
         byte = static_cast<uint8_t>(rng.NextBounded(256));
       }
-      (void)DecodeAdjacency(junk);
+      if (const AdjacencyPtr entry = DecodeAdjacency(junk)) {
+        WalkEdges(*entry);
+      }
     }
   }
   // Structured corruption: v2 header with absurd counts must be rejected

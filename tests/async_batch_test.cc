@@ -1,8 +1,8 @@
 // Async storage batches: the issue/probe/complete pipeline behind
 // max_inflight_batches.
 //
-//   * storage layer — KvStore/StorageServer multiget parity with sequential
-//     gets, and the MultiGetHandle completing across threads;
+//   * storage layer — StorageServer multiget parity with sequential gets,
+//     and the MultiGetHandle completing across threads;
 //   * window=1 identity — the synchronous path is byte-identical run to run
 //     and answer-identical to every async window, on both engines;
 //   * exactly-once — a migration-concurrent adaptive run with the async
@@ -85,28 +85,6 @@ ExperimentEnv* AsyncBatchTest::env_ = nullptr;
 
 // --- storage layer -------------------------------------------------------
 
-TEST(LogStructuredStoreMultiGet, MatchesSequentialGets) {
-  LogStructuredStore store(/*segment_bytes=*/256);
-  std::vector<uint8_t> blob = {1, 2, 3, 4};
-  for (uint64_t k = 0; k < 32; ++k) {
-    blob[0] = static_cast<uint8_t>(k);
-    store.Put(k, blob);
-  }
-  const std::vector<uint64_t> keys = {3, 999, 0, 31, 7, 7};
-  const auto batched = store.MultiGet(keys);
-  ASSERT_EQ(batched.size(), keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const auto single = store.Get(keys[i]);
-    ASSERT_EQ(batched[i].has_value(), single.has_value()) << "key " << keys[i];
-    if (single.has_value()) {
-      EXPECT_TRUE(std::equal(batched[i]->begin(), batched[i]->end(), single->begin(),
-                             single->end()));
-    }
-  }
-  // 6 multiget probes + 6 verification gets.
-  EXPECT_EQ(store.stats().gets, 12u);
-}
-
 TEST(StorageServerMultiGet, StatsMatchSequentialGets) {
   GraphBuilder builder;
   for (NodeId u = 0; u + 1 < 8; ++u) {
@@ -142,6 +120,8 @@ TEST(StorageServerMultiGet, StatsMatchSequentialGets) {
   EXPECT_EQ(batched.server(0).stats().misses, sequential.server(0).stats().misses);
   EXPECT_EQ(batched.server(0).stats().bytes_served,
             sequential.server(0).stats().bytes_served);
+  EXPECT_EQ(batched.server(0).store().stats().gets,
+            sequential.server(0).store().stats().gets);
 }
 
 TEST(MultiGetHandle, CompletesAcrossThreads) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
@@ -132,6 +134,54 @@ TEST(IoTest, BinaryRejectsOutOfRangeCountsAndEdges) {
   std::fwrite(&bad_dst, sizeof(bad_dst), 1, f);
   std::fclose(f);
   EXPECT_FALSE(ReadBinary(path).has_value());
+  std::remove(path.c_str());
+}
+
+// Writes a binary snapshot header followed by `body`.
+void WriteBinaryFile(const std::string& path, uint64_t n, uint64_t m,
+                     const std::vector<uint8_t>& body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint64_t header[3] = {0x47524F5554473031ULL, n, m};
+  std::fwrite(header, sizeof(uint64_t), 3, f);
+  if (!body.empty()) {
+    std::fwrite(body.data(), 1, body.size(), f);
+  }
+  std::fclose(f);
+}
+
+TEST(IoTest, BinaryRejectsDegreeAboveEdgeCount) {
+  // One node, one edge, and exactly the bytes those counts need — but the
+  // node's degree word claims 0xFFFFFFFF edges (a 32 GiB buffer if trusted).
+  const std::string path = TempPath("huge_degree.bin");
+  std::vector<uint8_t> body(sizeof(Label) + sizeof(uint32_t) + sizeof(Edge), 0);
+  std::fill_n(body.begin() + sizeof(Label), sizeof(uint32_t), 0xFF);
+  WriteBinaryFile(path, 1, 1, body);
+  EXPECT_FALSE(ReadBinary(path).has_value());
+
+  // The same file with a degree that fits parses.
+  body[sizeof(Label)] = 1;
+  std::fill_n(body.begin() + sizeof(Label) + 1, sizeof(uint32_t) - 1, 0);
+  WriteBinaryFile(path, 1, 1, body);
+  EXPECT_TRUE(ReadBinary(path).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, BinaryRejectsCountsLargerThanFile) {
+  const std::string path = TempPath("huge_counts.bin");
+  // ~4 billion nodes declared, no label or degree bytes behind them.
+  WriteBinaryFile(path, kInvalidNode - 1, 0, {});
+  EXPECT_FALSE(ReadBinary(path).has_value());
+  // A plausible node count whose edge count cannot fit in the file.
+  WriteBinaryFile(path, 1, 1ULL << 40,
+                  std::vector<uint8_t>(sizeof(Label) + sizeof(uint32_t), 0));
+  EXPECT_FALSE(ReadBinary(path).has_value());
+  // Counts that need exactly one byte more than the file holds.
+  const size_t two_nodes = 2 * (sizeof(Label) + sizeof(uint32_t));
+  WriteBinaryFile(path, 2, 0, std::vector<uint8_t>(two_nodes - 1, 0));
+  EXPECT_FALSE(ReadBinary(path).has_value());
+  WriteBinaryFile(path, 2, 0, std::vector<uint8_t>(two_nodes, 0));
+  EXPECT_TRUE(ReadBinary(path).has_value());
   std::remove(path.c_str());
 }
 

@@ -32,16 +32,14 @@ namespace {
 // ------------------------------------------------------- model check ----
 
 // Reference state: present keys -> adjacency, mutated by the same rules the
-// tier documents (idempotent edge halves, absent endpoints dropped).
-using ReferenceMap = std::map<NodeId, AdjacencyEntry>;
+// tier documents (idempotent edge halves, absent endpoints dropped). Entries
+// are immutable, so an edit rebuilds the key's entry from edited lists.
+using ReferenceMap = std::map<NodeId, AdjacencyPtr>;
 
-AdjacencyEntry EntryFromGraph(const Graph& g, NodeId u) {
-  AdjacencyEntry e;
-  e.node = u;
-  e.node_label = g.node_label(u);
-  e.out.assign(g.OutNeighbors(u).begin(), g.OutNeighbors(u).end());
-  e.in.assign(g.InNeighbors(u).begin(), g.InNeighbors(u).end());
-  return e;
+std::vector<Edge> Edges(const EdgeView& view) { return {view.begin(), view.end()}; }
+
+AdjacencyPtr EntryFromGraph(const Graph& g, NodeId u) {
+  return MakeAdjacency(u, g.node_label(u), g.OutNeighbors(u), g.InNeighbors(u));
 }
 
 void ReferenceApply(ReferenceMap* ref, const Graph& g, const GraphMutation& m) {
@@ -57,7 +55,10 @@ void ReferenceApply(ReferenceMap* ref, const Graph& g, const GraphMutation& m) {
         if (it == ref->end()) {
           return;  // withheld endpoint: dropped, as in the tier
         }
-        std::vector<Edge>& list = out ? it->second.out : it->second.in;
+        const AdjacencyEntry& entry = *it->second;
+        std::vector<Edge> out_edges = Edges(entry.out);
+        std::vector<Edge> in_edges = Edges(entry.in);
+        std::vector<Edge>& list = out ? out_edges : in_edges;
         const auto pos = std::find_if(list.begin(), list.end(),
                                       [other](const Edge& e) { return e.dst == other; });
         if (insert && pos == list.end()) {
@@ -65,6 +66,7 @@ void ReferenceApply(ReferenceMap* ref, const Graph& g, const GraphMutation& m) {
         } else if (!insert && pos != list.end()) {
           list.erase(pos);
         }
+        it->second = MakeAdjacency(entry.node, entry.node_label, out_edges, in_edges);
       };
       half(m.u, m.v, /*out=*/true);
       half(m.v, m.u, /*out=*/false);
@@ -186,10 +188,10 @@ TEST(MutationModelCheck, AllLength3InterleavingsMatchReference) {
                 continue;
               }
               ASSERT_NE(got, nullptr) << "key " << u << " after op " << op;
-              EXPECT_EQ(got->node, it->second.node) << "key " << u;
-              EXPECT_EQ(got->node_label, it->second.node_label) << "key " << u;
-              EXPECT_EQ(got->out, it->second.out) << "key " << u;
-              EXPECT_EQ(got->in, it->second.in) << "key " << u;
+              EXPECT_EQ(got->node, it->second->node) << "key " << u;
+              EXPECT_EQ(got->node_label, it->second->node_label) << "key " << u;
+              EXPECT_EQ(Edges(got->out), Edges(it->second->out)) << "key " << u;
+              EXPECT_EQ(Edges(got->in), Edges(it->second->in)) << "key " << u;
             }
           }
         }

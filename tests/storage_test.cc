@@ -119,17 +119,20 @@ TEST(AdjacencyCodecTest, RoundTripFromGraph) {
 }
 
 TEST(AdjacencyCodecTest, RoundTripFromEntry) {
-  AdjacencyEntry entry;
-  entry.node = 5;
-  entry.node_label = 3;
-  entry.out = {{10, 1}, {20, 2}};
-  entry.in = {{30, 3}};
-  const auto blob = EncodeAdjacency(entry);
+  const std::vector<Edge> out = {{10, 1}, {20, 2}};
+  const std::vector<Edge> in = {{30, 3}};
+  const AdjacencyPtr entry = MakeAdjacency(5, 3, out, in);
+  EXPECT_EQ(entry->WireBytes(), entry->SerializedBytes());
+  const auto blob = EncodeAdjacency(entry->node, entry->node_label, out, in);
+  EXPECT_EQ(blob.size(), entry->SerializedBytes());
   auto decoded = DecodeAdjacency(blob);
   ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->node, 5u);
+  EXPECT_EQ(decoded->node_label, 3);
   EXPECT_EQ(decoded->out.size(), 2u);
   EXPECT_EQ(decoded->in.size(), 1u);
   EXPECT_EQ(decoded->out[1].dst, 20u);
+  EXPECT_EQ(decoded->in[0], entry->in[0]);
 }
 
 TEST(AdjacencyCodecTest, RejectsTruncated) {
