@@ -121,12 +121,14 @@ inline void PrintPaperShape(const char* shape) {
 
 // --- machine-readable results: BENCH_<name>.json ------------------------
 //
-// Every bench binary ends its main() with WriteBenchJson, emitting one JSON
+// Every figure bench ends its main() with WriteBenchJson, emitting one JSON
 // document per bench run into GROUTING_BENCH_JSON_DIR (default: the working
 // directory). CI uploads these as artifacts — the bench trajectory — and
 // tools/check_bench_regression.py gates pushes against the checked-in
 // bench/baselines/*.json on the deterministic simulated engine. Each row
-// carries one key per ClusterMetricFields() entry (docs/METRICS.md).
+// carries one key per ClusterMetricFields() entry (docs/METRICS.md). The two
+// table benches (bench_table1_datasets, bench_table2_preprocessing) only
+// print their tables and write no JSON.
 
 inline std::string JsonEscape(const std::string& s) {
   std::string out;

@@ -42,6 +42,26 @@ void BM_EmbedLandmarks(benchmark::State& state) {
   }
 }
 
+// FNV-1a over every coordinate's bits and every embedded flag. Equal
+// digests mean bit-identical embeddings, so a change to the embedding or
+// landmark code can be checked against its parent with one line of output.
+uint64_t EmbeddingDigest(const GraphEmbedding& emb) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* data, size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ULL;
+    }
+  };
+  for (NodeId u = 0; u < emb.num_nodes(); ++u) {
+    const auto coords = emb.Coords(u);
+    mix(coords.data(), coords.size_bytes());
+    const uint8_t embedded = emb.IsEmbedded(u) ? 1 : 0;
+    mix(&embedded, 1);
+  }
+  return h;
+}
+
 BENCHMARK(BM_LandmarkBfs)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EmbedLandmarks)->Iterations(1)->Unit(benchmark::kMillisecond);
 
@@ -66,6 +86,9 @@ void PrintTables() {
                  " us"});
   t2.AddRow({"embed all nodes", "-", Table::Num(emb.stats().node_embed_seconds, 2) + " s"});
   std::printf("\n=== Table 2: preprocessing times ===\n%s", t2.ToString().c_str());
+  std::printf("embedding digest (FNV-1a, %zu nodes x %zu dims + flags): %016llx\n",
+              emb.num_nodes(), emb.dimensions(),
+              static_cast<unsigned long long>(EmbeddingDigest(emb)));
   PrintPaperShape("both preprocessing steps are modest and parallelise per landmark / per node.");
 
   Table t3({"structure", "paper", "ours", "% of graph"});

@@ -286,10 +286,10 @@ int main(int argc, char** argv) {
   opts.num_hotspots = flags.GetInt<size_t>("hotspots", 100, "workload hotspots");
   opts.queries_per_hotspot =
       flags.GetInt<size_t>("per-hotspot", 10, "queries per hotspot");
-  opts.num_landmarks = flags.GetInt<size_t>("landmarks", 96, "landmark count");
+  opts.num_landmarks = flags.GetInt<size_t>("landmarks", 96, "landmark count", 1);
   opts.min_separation =
       flags.GetInt<int32_t>("separation", 3, "minimum landmark separation (hops)");
-  opts.dimensions = flags.GetInt<size_t>("dims", 10, "embedding dimensions");
+  opts.dimensions = flags.GetInt<size_t>("dims", 10, "embedding dimensions", 1);
   opts.load_factor =
       flags.GetDouble("load-factor", 20.0, "load-penalty weight", kPositive);
   opts.alpha = flags.GetDouble("alpha", 0.5, "embed distance/load blend", 0.0, 1.0);

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/embed/nelder_mead.h"
+#include "src/embed/relative_error.h"
 #include "src/graph/traversal.h"
 
 namespace grouting {
@@ -34,39 +35,12 @@ double L2f(std::span<const float> a, std::span<const float> b) {
   return std::sqrt(sum);
 }
 
-// Relative-error objective against a set of (coordinate row, graph distance)
-// anchors. Unreachable anchors are skipped; zero-distance anchors pin the
-// point with an absolute penalty instead (relative error is undefined at 0).
-struct RelativeErrorObjective {
-  std::span<const float> anchor_coords;  // A x D row-major
-  std::span<const uint16_t> anchor_dists;
-  size_t dims;
-
-  double operator()(std::span<const double> x) const {
-    double total = 0.0;
-    const size_t anchors = anchor_dists.size();
-    for (size_t a = 0; a < anchors; ++a) {
-      const uint16_t d = anchor_dists[a];
-      if (d == kUnreachableU16) {
-        continue;
-      }
-      const double embed_dist =
-          L2(x, anchor_coords.subspan(a * dims, dims));
-      if (d == 0) {
-        total += embed_dist;  // co-located anchor
-      } else {
-        total += std::abs(static_cast<double>(d) - embed_dist) / static_cast<double>(d);
-      }
-    }
-    return total;
-  }
-};
-
 }  // namespace
 
 GraphEmbedding GraphEmbedding::Build(const LandmarkSet& landmarks,
                                      const EmbedConfig& config) {
   GROUTING_CHECK(config.dimensions > 0);
+  GROUTING_CHECK(config.landmarks_per_node > 0);
   GraphEmbedding emb;
   emb.config_ = config;
   emb.dims_ = config.dimensions;

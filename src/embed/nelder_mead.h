@@ -4,13 +4,15 @@
 // algorithm that we apply in this work").
 //
 // Header-only template so the per-node objective (millions of calls during
-// embedding) inlines.
+// embedding) inlines. The simplex lives in one flat (d+1) x d buffer.
 
 #ifndef GROUTING_SRC_EMBED_NELDER_MEAD_H_
 #define GROUTING_SRC_EMBED_NELDER_MEAD_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -33,39 +35,62 @@ struct NelderMeadOptions {
 };
 
 // Minimises f over x (in place); returns the best objective value found.
-// F: double(std::span<const double>).
+// F: double(std::span<const double>). f must never return NaN: the
+// selection below relies on the values being totally ordered.
+//
+// Stable-selection invariant: each iteration picks
+//   best  = the first minimum,
+//   worst = the last maximum,
+// and the second-worst value = the maximum over all points but the worst,
+// exactly what a stable sort of the indices 0..d by value yields at
+// positions 0, d and d-1 (only the second-worst point's value is used, so
+// ties there need no rule). For d+1 <= 16 points libstdc++'s std::sort is
+// an insertion sort, i.e. stable, so this O(d) scan reproduces a sorting
+// implementation's tie-breaking bit for bit.
 template <typename F>
 double NelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts = {}) {
   const size_t d = x.size();
   GROUTING_CHECK(d > 0);
 
-  // Simplex of d+1 points.
-  std::vector<std::vector<double>> pts(d + 1, std::vector<double>(x.begin(), x.end()));
-  for (size_t i = 0; i < d; ++i) {
-    pts[i + 1][i] += opts.initial_step;
+  // Simplex of d+1 points, point i at pts[i*d, (i+1)*d).
+  std::vector<double> pts((d + 1) * d);
+  for (size_t i = 0; i <= d; ++i) {
+    std::copy(x.begin(), x.end(), pts.begin() + i * d);
   }
+  for (size_t i = 0; i < d; ++i) {
+    pts[(i + 1) * d + i] += opts.initial_step;
+  }
+  auto point = [&](size_t i) { return pts.data() + i * d; };
   std::vector<double> fv(d + 1);
   int evals = 0;
-  auto eval = [&](const std::vector<double>& p) {
+  auto eval = [&](const double* p) {
     ++evals;
-    return f(std::span<const double>(p));
+    return f(std::span<const double>(p, d));
   };
   for (size_t i = 0; i <= d; ++i) {
-    fv[i] = eval(pts[i]);
+    fv[i] = eval(point(i));
   }
 
-  std::vector<size_t> order(d + 1);
   std::vector<double> centroid(d);
   std::vector<double> candidate(d);
 
   while (evals < opts.max_evals) {
-    for (size_t i = 0; i <= d; ++i) {
-      order[i] = i;
+    size_t best = 0;
+    size_t worst = 0;
+    for (size_t i = 1; i <= d; ++i) {
+      if (fv[i] < fv[best]) {
+        best = i;
+      }
+      if (fv[i] >= fv[worst]) {
+        worst = i;
+      }
     }
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) { return fv[a] < fv[b]; });
-    const size_t best = order[0];
-    const size_t worst = order[d];
-    const size_t second_worst = order[d - 1];
+    double f_second_worst = -std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i <= d; ++i) {
+      if (i != worst) {
+        f_second_worst = std::max(f_second_worst, fv[i]);
+      }
+    }
 
     if (fv[worst] - fv[best] <= opts.tolerance * (std::abs(fv[best]) + 1e-12)) {
       break;
@@ -77,36 +102,39 @@ double NelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts = {}
       if (i == worst) {
         continue;
       }
+      const double* p = point(i);
       for (size_t k = 0; k < d; ++k) {
-        centroid[k] += pts[i][k];
+        centroid[k] += p[k];
       }
     }
     for (size_t k = 0; k < d; ++k) {
       centroid[k] /= static_cast<double>(d);
     }
 
+    double* const w = point(worst);
     auto blend = [&](double coef) {
       for (size_t k = 0; k < d; ++k) {
-        candidate[k] = centroid[k] + coef * (centroid[k] - pts[worst][k]);
+        candidate[k] = centroid[k] + coef * (centroid[k] - w[k]);
       }
+    };
+    auto accept = [&](double value) {
+      std::copy(candidate.begin(), candidate.end(), w);
+      fv[worst] = value;
     };
 
     blend(opts.alpha);  // reflection
-    const double f_reflect = eval(candidate);
+    const double f_reflect = eval(candidate.data());
     if (f_reflect < fv[best]) {
       blend(opts.alpha * opts.gamma);  // expansion
-      const double f_expand = eval(candidate);
+      const double f_expand = eval(candidate.data());
       if (f_expand < f_reflect) {
-        pts[worst] = candidate;
-        fv[worst] = f_expand;
+        accept(f_expand);
       } else {
         blend(opts.alpha);
-        pts[worst] = candidate;
-        fv[worst] = f_reflect;
+        accept(f_reflect);
       }
-    } else if (f_reflect < fv[second_worst]) {
-      pts[worst] = candidate;
-      fv[worst] = f_reflect;
+    } else if (f_reflect < f_second_worst) {
+      accept(f_reflect);
     } else {
       // Contraction (outside if the reflection improved on the worst).
       if (f_reflect < fv[worst]) {
@@ -114,20 +142,21 @@ double NelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts = {}
       } else {
         blend(-opts.rho);
       }
-      const double f_contract = eval(candidate);
+      const double f_contract = eval(candidate.data());
       if (f_contract < std::min(f_reflect, fv[worst])) {
-        pts[worst] = candidate;
-        fv[worst] = f_contract;
+        accept(f_contract);
       } else {
         // Shrink towards the best point.
+        const double* b = point(best);
         for (size_t i = 0; i <= d; ++i) {
           if (i == best) {
             continue;
           }
+          double* p = point(i);
           for (size_t k = 0; k < d; ++k) {
-            pts[i][k] = pts[best][k] + opts.sigma * (pts[i][k] - pts[best][k]);
+            p[k] = b[k] + opts.sigma * (p[k] - b[k]);
           }
-          fv[i] = eval(pts[i]);
+          fv[i] = eval(p);
         }
       }
     }
@@ -139,7 +168,7 @@ double NelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts = {}
       best = i;
     }
   }
-  std::copy(pts[best].begin(), pts[best].end(), x.begin());
+  std::copy_n(point(best), d, x.begin());
   return fv[best];
 }
 

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "src/embed/embedding.h"
 #include "src/embed/nelder_mead.h"
+#include "src/embed/relative_error.h"
 #include "src/graph/generators.h"
 #include "src/graph/traversal.h"
 #include "src/util/rng.h"
@@ -71,6 +75,280 @@ TEST(NelderMeadTest, RespectsEvalBudget) {
       std::span<double>(x), opts);
   EXPECT_LE(evals, 50 + 3);  // simplex init may finish the last iteration
 }
+
+// ---------------------------------------------------- Reference kernels --
+//
+// The textbook kernels: a Nelder-Mead that sorts the simplex every
+// iteration and keeps one vector per point, and a relative-error objective
+// that walks row-major float anchors one at a time. The production kernels
+// must match them bit for bit: same x, same value, same evaluation count.
+// std::sort of d+1 <= 16 indices is an insertion sort in libstdc++, i.e.
+// stable, so the cases below stay at d <= 15.
+
+template <typename F>
+double ReferenceNelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts) {
+  const size_t d = x.size();
+  std::vector<std::vector<double>> pts(d + 1, std::vector<double>(x.begin(), x.end()));
+  for (size_t i = 0; i < d; ++i) {
+    pts[i + 1][i] += opts.initial_step;
+  }
+  std::vector<double> fv(d + 1);
+  int evals = 0;
+  auto eval = [&](const std::vector<double>& p) {
+    ++evals;
+    return f(std::span<const double>(p));
+  };
+  for (size_t i = 0; i <= d; ++i) {
+    fv[i] = eval(pts[i]);
+  }
+  std::vector<size_t> order(d + 1);
+  std::vector<double> centroid(d);
+  std::vector<double> candidate(d);
+  while (evals < opts.max_evals) {
+    for (size_t i = 0; i <= d; ++i) {
+      order[i] = i;
+    }
+    std::sort(order.begin(), order.end(),
+              [&](size_t a, size_t b) { return fv[a] < fv[b]; });
+    const size_t best = order[0];
+    const size_t worst = order[d];
+    const size_t second_worst = order[d - 1];
+    if (fv[worst] - fv[best] <= opts.tolerance * (std::abs(fv[best]) + 1e-12)) {
+      break;
+    }
+    std::fill(centroid.begin(), centroid.end(), 0.0);
+    for (size_t i = 0; i <= d; ++i) {
+      if (i == worst) {
+        continue;
+      }
+      for (size_t k = 0; k < d; ++k) {
+        centroid[k] += pts[i][k];
+      }
+    }
+    for (size_t k = 0; k < d; ++k) {
+      centroid[k] /= static_cast<double>(d);
+    }
+    auto blend = [&](double coef) {
+      for (size_t k = 0; k < d; ++k) {
+        candidate[k] = centroid[k] + coef * (centroid[k] - pts[worst][k]);
+      }
+    };
+    blend(opts.alpha);
+    const double f_reflect = eval(candidate);
+    if (f_reflect < fv[best]) {
+      blend(opts.alpha * opts.gamma);
+      const double f_expand = eval(candidate);
+      if (f_expand < f_reflect) {
+        pts[worst] = candidate;
+        fv[worst] = f_expand;
+      } else {
+        blend(opts.alpha);
+        pts[worst] = candidate;
+        fv[worst] = f_reflect;
+      }
+    } else if (f_reflect < fv[second_worst]) {
+      pts[worst] = candidate;
+      fv[worst] = f_reflect;
+    } else {
+      if (f_reflect < fv[worst]) {
+        blend(opts.alpha * opts.rho);
+      } else {
+        blend(-opts.rho);
+      }
+      const double f_contract = eval(candidate);
+      if (f_contract < std::min(f_reflect, fv[worst])) {
+        pts[worst] = candidate;
+        fv[worst] = f_contract;
+      } else {
+        for (size_t i = 0; i <= d; ++i) {
+          if (i == best) {
+            continue;
+          }
+          for (size_t k = 0; k < d; ++k) {
+            pts[i][k] = pts[best][k] + opts.sigma * (pts[i][k] - pts[best][k]);
+          }
+          fv[i] = eval(pts[i]);
+        }
+      }
+    }
+  }
+  size_t best = 0;
+  for (size_t i = 1; i <= d; ++i) {
+    if (fv[i] < fv[best]) {
+      best = i;
+    }
+  }
+  std::copy(pts[best].begin(), pts[best].end(), x.begin());
+  return fv[best];
+}
+
+struct ReferenceObjective {
+  std::span<const float> anchor_coords;  // A x D row-major
+  std::span<const uint16_t> anchor_dists;
+  size_t dims;
+
+  double operator()(std::span<const double> x) const {
+    double total = 0.0;
+    for (size_t a = 0; a < anchor_dists.size(); ++a) {
+      const uint16_t d = anchor_dists[a];
+      if (d == kUnreachableU16) {
+        continue;
+      }
+      double sum = 0.0;
+      for (size_t k = 0; k < dims; ++k) {
+        const double diff = x[k] - static_cast<double>(anchor_coords[a * dims + k]);
+        sum += diff * diff;
+      }
+      const double embed_dist = std::sqrt(sum);
+      if (d == 0) {
+        total += embed_dist;
+      } else {
+        total += std::abs(static_cast<double>(d) - embed_dist) / static_cast<double>(d);
+      }
+    }
+    return total;
+  }
+};
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+// A random anchor set: about a sixth unreachable, a sixth at distance 0.
+struct AnchorSet {
+  std::vector<float> coords;
+  std::vector<uint16_t> dists;
+};
+
+AnchorSet RandomAnchors(Rng& rng, size_t anchors, size_t dims) {
+  AnchorSet s;
+  for (size_t i = 0; i < anchors * dims; ++i) {
+    s.coords.push_back(static_cast<float>(rng.NextGaussian() * 3.0));
+  }
+  for (size_t a = 0; a < anchors; ++a) {
+    const uint64_t kind = rng.NextBounded(6);
+    if (kind == 0) {
+      s.dists.push_back(kUnreachableU16);
+    } else if (kind == 1) {
+      s.dists.push_back(0);
+    } else {
+      s.dists.push_back(static_cast<uint16_t>(1 + rng.NextBounded(8)));
+    }
+  }
+  return s;
+}
+
+std::vector<double> RandomPoint(Rng& rng, size_t dims) {
+  std::vector<double> x(dims);
+  for (double& v : x) {
+    v = rng.NextGaussian() * 3.0;
+  }
+  return x;
+}
+
+class KernelReferenceTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(KernelReferenceTest, ObjectiveMatchesRowMajorReference) {
+  const size_t dims = GetParam();
+  Rng rng(21 + dims);
+  size_t unreachable = 0;
+  size_t colocated = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const AnchorSet s = RandomAnchors(rng, rng.NextBounded(41), dims);
+    unreachable += std::count(s.dists.begin(), s.dists.end(), kUnreachableU16);
+    colocated += std::count(s.dists.begin(), s.dists.end(), uint16_t{0});
+    RelativeErrorObjective fast(s.coords, s.dists, dims);
+    const ReferenceObjective ref{s.coords, s.dists, dims};
+    for (int p = 0; p < 5; ++p) {
+      const std::vector<double> x = RandomPoint(rng, dims);
+      ASSERT_TRUE(SameBits(fast(x), ref(x))) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(unreachable, 0u);
+  EXPECT_GT(colocated, 0u);
+}
+
+TEST_P(KernelReferenceTest, NelderMeadMatchesSortReferenceOnEmbeddingObjective) {
+  const size_t dims = GetParam();
+  Rng rng(31 + dims);
+  for (int trial = 0; trial < 60; ++trial) {
+    const AnchorSet s = RandomAnchors(rng, 1 + rng.NextBounded(40), dims);
+    NelderMeadOptions opts;
+    opts.max_evals = 20 + static_cast<int>(rng.NextBounded(400));
+    opts.initial_step = 0.25 * (1.0 + static_cast<double>(rng.NextBounded(4)));
+    std::vector<double> x = RandomPoint(rng, dims);
+    std::vector<double> x_ref = x;
+
+    RelativeErrorObjective fast(s.coords, s.dists, dims);
+    int evals = 0;
+    const double value = NelderMead(
+        [&](std::span<const double> p) {
+          ++evals;
+          return fast(p);
+        },
+        std::span<double>(x), opts);
+    const ReferenceObjective ref{s.coords, s.dists, dims};
+    int ref_evals = 0;
+    const double ref_value = ReferenceNelderMead(
+        [&](std::span<const double> p) {
+          ++ref_evals;
+          return ref(p);
+        },
+        std::span<double>(x_ref), opts);
+    ASSERT_TRUE(SameBits(x, x_ref)) << "trial " << trial;
+    ASSERT_TRUE(SameBits(value, ref_value)) << "trial " << trial;
+    ASSERT_EQ(evals, ref_evals) << "trial " << trial;
+  }
+}
+
+TEST_P(KernelReferenceTest, NelderMeadMatchesSortReferenceOnPlateaus) {
+  // Quantised objectives take few distinct values, so the simplex holds
+  // ties: the selection scan must break them as the stable sort does.
+  const size_t dims = GetParam();
+  Rng rng(41 + dims);
+  size_t repeated_values = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const double step = 0.25 * (1.0 + static_cast<double>(rng.NextBounded(8)));
+    const std::vector<double> target = RandomPoint(rng, dims);
+    auto plateau = [&](std::span<const double> p) {
+      double s = 0.0;
+      for (size_t k = 0; k < p.size(); ++k) {
+        s += std::abs(p[k] - target[k]);
+      }
+      return std::floor(s / step);
+    };
+    NelderMeadOptions opts;
+    opts.max_evals = 20 + static_cast<int>(rng.NextBounded(300));
+    std::vector<double> x = RandomPoint(rng, dims);
+    std::vector<double> x_ref = x;
+    std::vector<double> seen;
+    int evals = 0;
+    const double value = NelderMead(
+        [&](std::span<const double> p) {
+          ++evals;
+          const double v = plateau(p);
+          repeated_values += std::count(seen.begin(), seen.end(), v) > 0;
+          seen.push_back(v);
+          return v;
+        },
+        std::span<double>(x), opts);
+    int ref_evals = 0;
+    const double ref_value = ReferenceNelderMead(
+        [&](std::span<const double> p) {
+          ++ref_evals;
+          return plateau(p);
+        },
+        std::span<double>(x_ref), opts);
+    ASSERT_TRUE(SameBits(x, x_ref)) << "trial " << trial;
+    ASSERT_TRUE(SameBits(value, ref_value)) << "trial " << trial;
+    ASSERT_EQ(evals, ref_evals) << "trial " << trial;
+  }
+  EXPECT_GT(repeated_values, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, KernelReferenceTest, ::testing::Values(1, 2, 10));
 
 // ----------------------------------------------------------- Embedding --
 
@@ -183,23 +461,44 @@ TEST(EmbeddingTest, NearbyNodesGetNearbyCoordinates) {
   EXPECT_LT(near_sum / samples, far_sum / samples);
 }
 
+// Every node's coordinates and embedded flag, compared bitwise.
+void ExpectBitIdentical(const GraphEmbedding& a, const GraphEmbedding& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.dimensions(), b.dimensions());
+  for (NodeId u = 0; u < a.num_nodes(); ++u) {
+    ASSERT_EQ(a.IsEmbedded(u), b.IsEmbedded(u)) << "node " << u;
+    const auto ca = a.Coords(u);
+    const auto cb = b.Coords(u);
+    ASSERT_EQ(std::memcmp(ca.data(), cb.data(), ca.size_bytes()), 0) << "node " << u;
+  }
+}
+
 TEST(EmbeddingTest, DeterministicInSeed) {
   Graph g = GenerateErdosRenyi(200, 800, 8);
   auto lms = LandmarkSet::Select(g, TestLandmarkConfig(8));
   EmbedConfig cfg = TestEmbedConfig(5);
   cfg.num_threads = 1;
-  auto a = GraphEmbedding::Build(lms, cfg);
-  auto b = GraphEmbedding::Build(lms, cfg);
-  for (NodeId u = 0; u < g.num_nodes(); u += 7) {
-    if (!a.IsEmbedded(u)) {
-      continue;
-    }
-    auto ca = a.Coords(u);
-    auto cb = b.Coords(u);
-    for (size_t k = 0; k < ca.size(); ++k) {
-      EXPECT_FLOAT_EQ(ca[k], cb[k]);
-    }
-  }
+  ExpectBitIdentical(GraphEmbedding::Build(lms, cfg), GraphEmbedding::Build(lms, cfg));
+}
+
+TEST(EmbeddingTest, IndependentOfThreadCount) {
+  // Each node's optimisation depends only on its own inputs, so the
+  // parallel node phase must not depend on how nodes are spread over threads.
+  Graph g = GenerateBarabasiAlbert(600, 3, 13);
+  auto lms = LandmarkSet::Select(g, TestLandmarkConfig(16));
+  EmbedConfig cfg = TestEmbedConfig(10);
+  cfg.num_threads = 1;
+  const auto single = GraphEmbedding::Build(lms, cfg);
+  cfg.num_threads = 3;
+  ExpectBitIdentical(single, GraphEmbedding::Build(lms, cfg));
+}
+
+TEST(EmbeddingDeathTest, ZeroLandmarksPerNodeIsRejected) {
+  Graph g = GenerateErdosRenyi(60, 180, 12);
+  auto lms = LandmarkSet::Select(g, TestLandmarkConfig(4));
+  EmbedConfig cfg = TestEmbedConfig(3);
+  cfg.landmarks_per_node = 0;
+  EXPECT_DEATH(GraphEmbedding::Build(lms, cfg), "landmarks_per_node > 0");
 }
 
 TEST(EmbeddingTest, IncrementalAddMatchesRegion) {
