@@ -56,12 +56,12 @@ class Flags {
     const double v = Parse(key, def, help, "a number");
     return InRange(key, v, min, max) ? v : def;
   }
-  // A non-negative integer that fits T and is at least `min`.
+  // A non-negative integer in [min, max] (max defaults to what T holds).
   template <typename T>
-  T GetInt(const std::string& key, T def, const char* help, T min = 0) {
+  T GetInt(const std::string& key, T def, const char* help, T min = 0,
+           T max = std::numeric_limits<T>::max()) {
     const uint64_t v = Parse<uint64_t>(key, def, help, "a non-negative integer");
-    return InRange(key, v, static_cast<uint64_t>(min),
-                   static_cast<uint64_t>(std::numeric_limits<T>::max()))
+    return InRange(key, v, static_cast<uint64_t>(min), static_cast<uint64_t>(max))
                ? static_cast<T>(v)
                : def;
   }
@@ -322,7 +322,8 @@ int main(int argc, char** argv) {
   opts.replica_demote_threshold = flags.GetDouble(
       "replica-demote-threshold", 0.1, "demote below this share of mean load", 0.0);
   opts.max_replicas_per_partition = flags.GetInt<uint32_t>(
-      "max-replicas-per-partition", 2, "extra copies per partition (max 3)");
+      "max-replicas-per-partition", 2, "extra copies per partition (max 3)", 0,
+      PartitionMap::kMaxReplicas);
   opts.adjacency_encoding = encoding_name == "delta_varint"
                                 ? AdjacencyEncoding::kDeltaVarint
                                 : AdjacencyEncoding::kRaw;

@@ -72,8 +72,9 @@ struct ClusterConfig {
   // queries back to back. The simulated engine schedules arrivals in
   // virtual time; the threaded engine paces its feeder thread in wall time.
   double arrival_gap_us = 0.0;
-  // Threaded engine: injected one-way network delay per storage batch
-  // (busy-wait, µs). 0 = memory speed.
+  // Threaded engine: injected one-way network delay per storage batch (µs),
+  // spent on the processor's fetch thread before the batch's reply lands,
+  // inside the level that issued it. 0 = memory speed.
   double injected_network_us = 0.0;
   // Wire format the storage tier stores and ships adjacency blobs in
   // (src/storage/adjacency.h). kDeltaVarint compresses sorted neighbour

@@ -14,48 +14,6 @@ double ElapsedUs(std::chrono::steady_clock::time_point from,
 
 }  // namespace
 
-size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
-                             std::vector<AdjacencyPtr>* values) {
-  GROUTING_CHECK(keys.size() == values->size());
-  const PartitionMap* map = storage->partition_map();
-  if (map == nullptr && !storage->mutations_enabled()) {
-    return 0;
-  }
-  size_t resolved = 0;
-  for (size_t k = 0; k < keys.size(); ++k) {
-    if ((*values)[k] != nullptr) {
-      continue;
-    }
-    // The re-fetch can itself race the NEXT migration (a plain read is not
-    // covered by the drain accounting), so retry until the owner STAMP is
-    // stable around a null read. The stamp's version half catches even a
-    // partition that moved away and back (ABA) during the read; only a
-    // null under an unchanged stamp is a genuine miss — anything else
-    // means the key moved mid-read and the then-current owner has it.
-    // With mutations on, the mutation version must be stable too: a node
-    // materialised (kAddVertex) during a migration or replica promotion
-    // can land its blob under an unchanged owner stamp, and a stamp-only
-    // check would wrongly conclude "stable null" for a key that now
-    // exists. The read is the stats-free PeekCurrent: the raced batch
-    // already counted this key as workload traffic once.
-    for (;;) {
-      const uint64_t stamp = map != nullptr ? map->OwnerStampOf(keys[k]) : 0;
-      const uint64_t version = storage->NodeVersion(keys[k]);
-      AdjacencyPtr entry = storage->PeekCurrent(keys[k]);
-      if (entry != nullptr) {
-        (*values)[k] = std::move(entry);
-        ++resolved;
-        break;
-      }
-      if ((map == nullptr || map->OwnerStampOf(keys[k]) == stamp) &&
-          storage->NodeVersion(keys[k]) == version) {
-        break;  // stable null: genuine miss (a truly withheld vertex)
-      }
-    }
-  }
-  return resolved;
-}
-
 void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
                                          std::span<const NodeId> nodes,
                                          std::vector<AdjacencyPtr>* result,
@@ -223,7 +181,9 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
     }
     std::sort(misses.begin(), misses.end());
 
-    const bool timed = executor_ != nullptr;
+    // Overlap is measured only where there is a window to overlap in: at
+    // window 1 each batch is waited on before the next is issued.
+    const bool timed = executor_ != nullptr && window_ > 1;
     const auto issue_start = std::chrono::steady_clock::now();
     double blocked_us = 0.0;
     uint32_t peak = 0;

@@ -46,20 +46,6 @@ struct CachedAdjacency {
   uint64_t version = 0;
 };
 
-// Re-resolves multiget misses that raced a partition migration: a batch
-// formed against a server that lost its keys between the ServerOf lookup
-// and StartMultiGet comes back with nullptr slots; each null slot is
-// re-fetched through the tier's current partition map, retrying until BOTH
-// the owner stamp and the key's mutation version are stable around the
-// read, so the answer is still delivered exactly once — whatever
-// migrations, promotions, or mutations ran (or re-ran) meanwhile. The
-// version half matters for a node mutated (or materialised) during a
-// migration or replica promotion: its owner stamp can be stable while the
-// blob only just landed. Returns the number of keys re-resolved; no-op
-// when repartitioning is off.
-size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
-                             std::vector<AdjacencyPtr>* values);
-
 struct ProcessorConfig {
   uint64_t cache_bytes = 4ULL << 30;  // paper default: 4 GB per processor
   CachePolicy cache_policy = CachePolicy::kLru;

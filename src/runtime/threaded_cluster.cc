@@ -24,14 +24,16 @@ class QueueFetchExecutor : public BatchFetchExecutor {
   MpmcQueue<std::shared_ptr<MultiGetHandle>>* queue_;
 };
 
-void BusyWaitUs(double us) {
-  if (us <= 0.0) {
-    return;
+// Paces the calling thread to `target`: sleeps coarse until 100 µs before it
+// when it is more than 200 µs away, then spins the last stretch (sleep_until
+// alone oversleeps by tens of µs). Arrivals and timed writes both pace here,
+// from the same run epoch.
+void PaceUntil(std::chrono::steady_clock::time_point target) {
+  if (target - std::chrono::steady_clock::now() > std::chrono::microseconds(200)) {
+    std::this_thread::sleep_until(target - std::chrono::microseconds(100));
   }
-  const auto until = std::chrono::steady_clock::now() +
-                     std::chrono::nanoseconds(static_cast<int64_t>(us * 1000.0));
-  while (std::chrono::steady_clock::now() < until) {
-    // spin: injected delays are microseconds; sleeping would oversleep 100x
+  while (std::chrono::steady_clock::now() < target) {
+    // spin the last stretch
   }
 }
 
@@ -53,12 +55,6 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
   rebalance_.migration_cap = config_.router_migration_cap;
   adaptive_ = config_.num_router_shards > 1 &&
               config_.router_splitter == SplitterKind::kAdaptive;
-  // The feeder thread is what lets the assignment change mid-run (adaptive)
-  // or arrivals be paced in wall time (arrival_gap_us, or the open-loop
-  // schedule's own arrive_us timestamps); otherwise the PR-2 pre-sliced
-  // path is kept byte-for-byte.
-  use_feeder_ =
-      adaptive_ || config_.arrival_gap_us > 0.0 || config_.open_loop_arrivals;
   shards_.reserve(config_.num_router_shards);
   for (uint32_t s = 1; s < config_.num_router_shards; ++s) {
     auto clone = strategy->Clone();
@@ -74,13 +70,14 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
     channels_.push_back(std::make_unique<MpmcQueue<Routed>>());
   }
-  if (use_feeder_) {
-    for (uint32_t s = 0; s < config_.num_router_shards; ++s) {
-      arrival_channels_.push_back(std::make_unique<MpmcQueue<Query>>());
-    }
+  for (uint32_t s = 0; s < config_.num_router_shards; ++s) {
+    arrival_channels_.push_back(std::make_unique<MpmcQueue<Query>>());
   }
-  async_fetch_ = config_.processor.max_inflight_batches > 1;
-  if (async_fetch_) {
+  // Fetch threads exist whenever they have something to hide or to spend:
+  // a window of outstanding batches, or injected wire time (paid there, one
+  // round trip per batch, even at window 1). With neither, the processor
+  // services its multigets inline — the simulator's only path.
+  if (config_.processor.max_inflight_batches > 1 || config_.injected_network_us > 0.0) {
     for (uint32_t p = 0; p < config_.num_processors; ++p) {
       fetch_queues_.push_back(
           std::make_unique<MpmcQueue<std::shared_ptr<MultiGetHandle>>>());
@@ -164,39 +161,26 @@ bool ThreadedCluster::StealInto(uint32_t thief, Routed* out) {
   return true;
 }
 
-void ThreadedCluster::FeederLoop(std::span<const Query> queries) {
+void ThreadedCluster::FeederLoop(std::span<const Query> queries,
+                                 Clock::time_point epoch) {
   // The splitter is sequential state, so one thread walks the arrival stream
-  // in order; between any two arrivals the gossip tick may migrate sessions
-  // under the same mutex, changing where the NEXT arrival of a session goes.
-  // A configured arrival gap is paced here in wall time — the threaded
-  // counterpart of the simulator's virtual-time arrival events, and what
-  // lets gossip/rebalance ticks interleave with the stream on real threads.
-  // Open-loop schedules pace to each query's absolute arrive_us from the
-  // loop's epoch instead (sleep coarse, spin the last stretch), so the wall
-  // clock replays the same Poisson schedule the simulator fires in virtual
-  // time. Shed arrivals are paced but never handed to a shard — admission
-  // happens at the splitter, and the schedule's timing is unaffected.
-  const auto epoch = Clock::now();
+  // in order and hands each admitted query to its CURRENT shard: static
+  // splitters make the same cut, in the same order, as the simulator's
+  // fleet, and between any two arrivals the gossip tick may migrate adaptive
+  // sessions under the same mutex, changing where the NEXT arrival of a
+  // session goes. Each arrival is paced to its schedule time
+  // (ArrivalTimeUs: the open-loop arrive_us, or i x arrival_gap_us) from the
+  // run epoch — the wall-clock counterpart of the simulator's virtual-time
+  // arrival events; an unpaced schedule is all at time 0. Shed arrivals are
+  // paced but never handed to a shard — admission happens here, and the
+  // schedule's timing is unaffected.
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     if (shutdown_.load(std::memory_order_acquire)) {
       break;
     }
-    if (config_.open_loop_arrivals && q.arrive_us >= 0.0) {
-      const auto target =
-          epoch + std::chrono::nanoseconds(
-                      static_cast<int64_t>(q.arrive_us * 1000.0));
-      auto now = Clock::now();
-      if (target - now > std::chrono::microseconds(200)) {
-        std::this_thread::sleep_until(target - std::chrono::microseconds(100));
-        now = Clock::now();
-      }
-      while (now < target) {
-        now = Clock::now();
-      }
-    } else {
-      BusyWaitUs(config_.arrival_gap_us);
-    }
+    PaceUntil(epoch + std::chrono::nanoseconds(
+                          static_cast<int64_t>(ArrivalTimeUs(q, i) * 1000.0)));
     if (!admission_plan_.Admitted(i)) {
       continue;
     }
@@ -213,13 +197,14 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries) {
   }
 }
 
-void ThreadedCluster::RouterShardLoop(uint32_t shard, std::span<const Query> slice) {
+void ThreadedCluster::RouterShardLoop(uint32_t shard) {
   RouterShard& rs = *shards_[shard];
   WallTracer* tracer = shard_tracers_.empty() ? nullptr : &shard_tracers_[shard];
   std::vector<uint32_t> lengths(config_.num_processors, 0);
   RouterContext ctx;
   ctx.num_processors = config_.num_processors;
-  const auto route_one = [&](const Query& q) {
+  while (auto arrival = arrival_channels_[shard]->Pop()) {
+    const Query& q = *arrival;
     const bool traced = tracer != nullptr && tracer->Sample(q.id);
     if (traced) {
       tracer->Instant(TraceEventType::kArrival, tracer->NowUs(), q.id, shard);
@@ -242,15 +227,6 @@ void ThreadedCluster::RouterShardLoop(uint32_t shard, std::span<const Query> sli
       tracer->Instant(TraceEventType::kRouted, tracer->NowUs(), q.id, target);
     }
     channels_[target]->Push(Routed{q, Clock::now(), shard, target});
-  };
-  if (use_feeder_) {
-    while (auto q = arrival_channels_[shard]->Pop()) {
-      route_one(*q);
-    }
-  } else {
-    for (const Query& q : slice) {
-      route_one(q);
-    }
   }
 }
 
@@ -262,22 +238,12 @@ void ThreadedCluster::WriterLoop(Clock::time_point epoch) {
     if (shutdown_.load(std::memory_order_acquire)) {
       break;  // destructor teardown mid-run: abandon the schedule
     }
+    // Paced to the entry's offset from the run epoch, like the arrivals. A
+    // drained run (remaining_ == 0) stops pacing — the tail of the schedule
+    // applies back to back so both engines still apply every entry.
     if (remaining_.load(std::memory_order_acquire) > 0) {
-      // Same pacing discipline as the feeder: sleep coarse, spin the last
-      // stretch to the entry's offset from the run epoch. A drained run
-      // (remaining_ == 0) stops pacing — the tail of the schedule applies
-      // back to back so both engines still apply every entry.
-      const auto target =
-          epoch +
-          std::chrono::nanoseconds(static_cast<int64_t>(m.apply_us * 1000.0));
-      auto now = Clock::now();
-      if (target - now > std::chrono::microseconds(200)) {
-        std::this_thread::sleep_until(target - std::chrono::microseconds(100));
-        now = Clock::now();
-      }
-      while (now < target && remaining_.load(std::memory_order_acquire) > 0) {
-        now = Clock::now();
-      }
+      PaceUntil(epoch + std::chrono::nanoseconds(
+                            static_cast<int64_t>(m.apply_us * 1000.0)));
     }
     ApplyOneMutation(m);
   }
@@ -382,8 +348,11 @@ void ThreadedCluster::FetchLoop(uint32_t p) {
   // once the injected round trip has elapsed. Because execution and
   // completion are decoupled, up to `window` round trips ripen
   // concurrently while the processor probes its cache — the wall-clock
-  // overlap the async pipeline exists for. Completion order is FIFO, which
-  // matches the processor's oldest-first Wait() order.
+  // overlap the async pipeline exists for. At window 1 the processor waits
+  // on each handle before issuing the next, so the trips serialise inside
+  // the level, one batch at a time. This is the only place injected wire
+  // time is spent. Completion order is FIFO, which matches the processor's
+  // oldest-first Wait() order.
   std::deque<std::pair<std::shared_ptr<MultiGetHandle>, Clock::time_point>> pending;
   const auto rtt_base = std::chrono::nanoseconds(
       static_cast<int64_t>(2.0 * config_.injected_network_us * 1000.0));
@@ -464,28 +433,6 @@ void ThreadedCluster::ProcessorLoop(uint32_t p) {
       rs.strategy->OnDispatch(routed.query.node, p, routed.target);
     }
     QueryResult result = processors_[p]->Execute(routed.query);
-    if (config_.injected_network_us > 0.0 && !async_fetch_) {
-      // Synchronous path: two one-way hops plus the per-KB transfer of each
-      // storage batch of the query just executed, serialised after the
-      // fact. The async pipeline incurs the same per-batch round trip
-      // inside FetchLoop instead, where the trips overlap with each other
-      // and with the processor's cache work.
-      const auto& batches = processors_[p]->last_trace().batches;
-      uint64_t wire_bytes = 0;
-      for (const auto& b : batches) {
-        wire_bytes += b.bytes;
-      }
-      const auto wait_start = Clock::now();
-      BusyWaitUs(2.0 * config_.injected_network_us *
-                     static_cast<double>(batches.size()) +
-                 config_.cost.net.per_kb_us *
-                     static_cast<double>(wire_bytes) / 1024.0);
-      if (tracer != nullptr && tracer->active()) {
-        // The post-hoc injected round trips are network exposure, not CPU.
-        tracer->Span(TraceEventType::kStall, tracer->AtUs(wait_start),
-                     tracer->NowUs(), 0, 0, batches.size());
-      }
-    }
     const auto completed = Clock::now();
     const double response_us = ElapsedUs(dispatched, completed);
     samples.response_us.Add(response_us);
@@ -519,20 +466,7 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   // run in. Timed entries are paced by the writer thread below.
   ApplyQuiescedMutations();
 
-  // Static splitters cut the arrival stream into per-shard slices up front
-  // (deterministic in arrival order, same cut the simulated engine's fleet
-  // makes). The adaptive splitter cannot pre-slice — session migrations
-  // re-route arrivals mid-run — so a feeder thread walks the stream instead.
   const uint32_t num_shards = static_cast<uint32_t>(shards_.size());
-  std::vector<std::vector<Query>> slices(num_shards);
-  if (!use_feeder_) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (!admission_plan_.Admitted(i)) {
-        continue;
-      }
-      slices[splitter_.ShardFor(queries[i])].push_back(queries[i]);
-    }
-  }
 
   // Spawn the gossip tick only when it has work: EMA state to blend, an
   // adaptive rebalance to drive, or storage-tier repartition rounds to run.
@@ -564,7 +498,7 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
                                   tracer_->sample_every_n(), start);
     }
   }
-  if (async_fetch_) {
+  if (!fetch_queues_.empty()) {
     // Fetch threads first, and only then the executor seam: a processor
     // must never submit a handle nobody will service.
     fetch_threads_.reserve(config_.num_processors);
@@ -579,12 +513,9 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   }
   router_threads_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    router_threads_.emplace_back(
-        [this, s, &slices] { RouterShardLoop(s, slices[s]); });
+    router_threads_.emplace_back([this, s] { RouterShardLoop(s); });
   }
-  if (use_feeder_) {
-    feeder_thread_ = std::thread([this, queries] { FeederLoop(queries); });
-  }
+  feeder_thread_ = std::thread([this, queries, start] { FeederLoop(queries, start); });
   if (config_.enable_mutations && !mutation_schedule().empty()) {
     writer_thread_ = std::thread([this, start] { WriterLoop(start); });
   }

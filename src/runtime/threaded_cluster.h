@@ -2,15 +2,14 @@
 // SAME strategies, caches, executors and storage tier as the simulator —
 // but on actual threads with actual concurrency:
 //
-//   feeder thread  : (adaptive splitter, or arrival_gap_us > 0) walks the
-//                    arrival stream in order — pacing the configured gap in
-//                    wall time — and hands each query to its CURRENT shard
-//                    via a per-shard arrival channel, so the assignment can
-//                    change mid-run as sessions migrate. Static unpaced
-//                    splitters keep the PR-2 path: slices cut up front, no
-//                    feeder.
-//   N router-shard threads : each routes its slice of the arrival stream
-//                    onto per-processor channels with its OWN strategy
+//   feeder thread  : walks the arrival stream in order, pacing each arrival
+//                    to its schedule time from the run epoch, and hands it
+//                    to its CURRENT shard via a per-shard arrival channel —
+//                    the splitter is sequential state, so static splitters
+//                    get the simulator's cut and adaptive ones can move
+//                    sessions mid-run,
+//   N router-shard threads : each pops its arrival channel and routes onto
+//                    per-processor channels with its OWN strategy
 //                    instance, using live channel lengths as load,
 //   gossip thread  : when sharded, periodically blends the shards' EMA
 //                    state (mutex-light: one short lock per shard per tick)
@@ -21,14 +20,14 @@
 //   P processor threads : drain their channel; when empty they STEAL from
 //                    the longest sibling channel; every dispatch is fed
 //                    back to the routing shard's strategy (steal-aware),
-//   P fetch threads : (max_inflight_batches > 1) each processor's async
-//                    multiget handles are serviced on its own fetch thread:
-//                    the gets run against the shared storage tier while the
-//                    processor keeps probing its cache and merging earlier
-//                    batches, and the handle completes only once the
-//                    injected network round trip has elapsed — so up to
-//                    `window` round trips overlap instead of serialising
-//                    after execution as on the synchronous path,
+//   P fetch threads : (max_inflight_batches > 1 or injected_network_us > 0)
+//                    each processor's multiget handles are serviced on its
+//                    own fetch thread, which completes a handle only once
+//                    the injected network round trip has elapsed — so up to
+//                    `window` round trips overlap while the processor keeps
+//                    probing its cache, and at window 1 they are paid one
+//                    batch at a time inside the level. Without a window or
+//                    a wire delay the processor services batches inline,
 //   storage tier   : shared, internally synchronised per server.
 //
 // The simulator answers "what would the paper's cluster do"; this runtime
@@ -99,8 +98,8 @@ class ThreadedCluster : public ClusterEngine {
     std::vector<uint64_t> tenant_queries;
   };
 
-  void FeederLoop(std::span<const Query> queries);
-  void RouterShardLoop(uint32_t shard, std::span<const Query> slice);
+  void FeederLoop(std::span<const Query> queries, Clock::time_point epoch);
+  void RouterShardLoop(uint32_t shard);
   void GossipLoop();
   void ProcessorLoop(uint32_t p);
   void FetchLoop(uint32_t p);
@@ -142,18 +141,15 @@ class ThreadedCluster : public ClusterEngine {
   // delete); written by the gossip thread, read post-join.
   double repartition_stall_us_ = 0.0;
 
-  // Arrival splitter. Static splitters consume it single-threaded in Run();
-  // the adaptive splitter is shared between the feeder thread (ShardFor) and
-  // the gossip tick (Rebalance) behind splitter_mu_.
+  // Arrival splitter, consumed by the feeder thread (ShardFor) and — for
+  // the adaptive splitter — the gossip tick (Rebalance), behind splitter_mu_.
   ArrivalSplitter splitter_;
   std::mutex splitter_mu_;
   RebalanceConfig rebalance_;
-  bool adaptive_;    // adaptive splitter: rebalance at gossip ticks
-  bool use_feeder_;  // feeder + arrival-channel mode (adaptive, paced, or
-                     // open-loop)
+  bool adaptive_;  // adaptive splitter: rebalance at gossip ticks
   // Per-tenant admission decisions for the run's schedule, computed in
-  // Run() before any thread spawns (so feeder and pre-slice agree) and
-  // identical to the simulated engine's plan for the same schedule.
+  // Run() before any thread spawns and identical to the simulated engine's
+  // plan for the same schedule.
   AdmissionPlan admission_plan_;
   std::vector<std::unique_ptr<MpmcQueue<Query>>> arrival_channels_;
   std::thread feeder_thread_;
@@ -168,10 +164,10 @@ class ThreadedCluster : public ClusterEngine {
   std::vector<WallTracer> proc_tracers_;
   std::vector<WallTracer> shard_tracers_;
 
-  // Async fetch pipeline (config.processor.max_inflight_batches > 1): a
-  // per-processor request queue + fetch thread pair; executors are installed
-  // on the processors' sources only while the fetch threads run.
-  bool async_fetch_;
+  // Fetch pipeline (a window > 1 or an injected wire delay; empty
+  // otherwise): a per-processor request queue + fetch thread pair;
+  // executors are installed on the processors' sources only while the fetch
+  // threads run.
   std::vector<std::unique_ptr<MpmcQueue<std::shared_ptr<MultiGetHandle>>>> fetch_queues_;
   std::vector<std::unique_ptr<BatchFetchExecutor>> fetch_executors_;
   std::vector<std::thread> fetch_threads_;

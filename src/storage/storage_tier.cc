@@ -6,16 +6,7 @@
 namespace grouting {
 
 AdjacencyPtr StorageServer::Get(NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.get_requests;
-  auto blob = store_.Get(node);
-  if (!blob.has_value()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.values_served;
-  stats_.bytes_served += blob->size();
-  return DecodeAdjacency(*blob, retain_wire_);
+  return MultiGet(std::span<const NodeId>(&node, 1)).front();
 }
 
 std::vector<AdjacencyPtr> StorageServer::MultiGet(std::span<const NodeId> nodes) {
@@ -208,29 +199,11 @@ AdjacencyPtr StorageTier::Get(NodeId node) {
   if (partition_monitor_ != nullptr) {
     partition_monitor_->Record(partition_map_->PartitionOf(node));
   }
-  AdjacencyPtr value = servers_[ReadServerOf(node)]->Get(node);
-  if (value == nullptr && (partition_map_ != nullptr || mutations_enabled())) {
-    // Raced a migration/demotion flip — or a concurrent kAddVertex
-    // materialising the node. Re-resolve through the current primary until
-    // the value lands or BOTH the owner stamp and the node's mutation
-    // version prove the miss genuine (same dual-stamp-stable loop as
-    // ResolveMigratedMisses in src/proc/): a stable owner stamp alone no
-    // longer suffices, because a mutation writes the blob without moving
-    // the partition.
-    for (;;) {
-      const uint64_t stamp =
-          partition_map_ != nullptr ? partition_map_->OwnerStampOf(node) : 0;
-      const uint64_t version = NodeVersion(node);
-      value = PeekCurrent(node);
-      if (value != nullptr ||
-          ((partition_map_ == nullptr ||
-            partition_map_->OwnerStampOf(node) == stamp) &&
-           NodeVersion(node) == version)) {
-        break;
-      }
-    }
-  }
-  return value;
+  // A miss may have raced a migration/demotion flip or a concurrent
+  // kAddVertex; the batch path's heal re-resolves it the same way.
+  std::vector<AdjacencyPtr> value{servers_[ReadServerOf(node)]->Get(node)};
+  ResolveMigratedMisses(this, std::span<const NodeId>(&node, 1), &value);
+  return value.front();
 }
 
 AdjacencyPtr StorageTier::PeekCurrent(NodeId node) {
@@ -543,6 +516,48 @@ uint64_t StorageTier::TotalValues() const {
     total += s->store().entry_count();
   }
   return total;
+}
+
+size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
+                             std::vector<AdjacencyPtr>* values) {
+  GROUTING_CHECK(keys.size() == values->size());
+  const PartitionMap* map = storage->partition_map();
+  if (map == nullptr && !storage->mutations_enabled()) {
+    return 0;
+  }
+  size_t resolved = 0;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if ((*values)[k] != nullptr) {
+      continue;
+    }
+    // The re-fetch can itself race the NEXT migration (a plain read is not
+    // covered by the drain accounting), so retry until the owner STAMP is
+    // stable around a null read. The stamp's version half catches even a
+    // partition that moved away and back (ABA) during the read; only a
+    // null under an unchanged stamp is a genuine miss — anything else
+    // means the key moved mid-read and the then-current owner has it.
+    // With mutations on, the mutation version must be stable too: a node
+    // materialised (kAddVertex) during a migration or replica promotion
+    // can land its blob under an unchanged owner stamp, and a stamp-only
+    // check would wrongly conclude "stable null" for a key that now
+    // exists. The read is the stats-free PeekCurrent: the raced batch
+    // already counted this key as workload traffic once.
+    for (;;) {
+      const uint64_t stamp = map != nullptr ? map->OwnerStampOf(keys[k]) : 0;
+      const uint64_t version = storage->NodeVersion(keys[k]);
+      AdjacencyPtr entry = storage->PeekCurrent(keys[k]);
+      if (entry != nullptr) {
+        (*values)[k] = std::move(entry);
+        ++resolved;
+        break;
+      }
+      if ((map == nullptr || map->OwnerStampOf(keys[k]) == stamp) &&
+          storage->NodeVersion(keys[k]) == version) {
+        break;  // stable null: genuine miss (a truly withheld vertex)
+      }
+    }
+  }
+  return resolved;
 }
 
 }  // namespace grouting

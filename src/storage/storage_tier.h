@@ -286,8 +286,8 @@ class StorageTier {
   AdjacencyPtr Get(NodeId node);
 
   // Stats-free fetch through the current map: no serving stats, no monitor
-  // record. Used by the migration-race healing path (src/proc/
-  // ResolveMigratedMisses) — the batch that raced the migration already
+  // record. Used by the migration-race healing path
+  // (ResolveMigratedMisses) — the batch that raced the migration already
   // counted the key as workload traffic once; counting the re-read too
   // would make just-migrated partitions look hotter than they are.
   AdjacencyPtr PeekCurrent(NodeId node);
@@ -349,7 +349,7 @@ class StorageTier {
   // find the keys — copies are not yet deleted), (4) delete the source
   // copies. A reader that raced the flip between its ServerOf lookup and
   // StartMultiGet may still miss; CachedStorageSource re-resolves such
-  // misses through the tier (ResolveMigratedMisses in src/proc/).
+  // misses through the tier (ResolveMigratedMisses).
   MigrationResult MigratePartition(uint32_t partition, uint32_t to);
 
   // Creates a replica of one partition on `server`: copy every key of the
@@ -456,6 +456,21 @@ class StorageTier {
   const Graph* universe_graph_ = nullptr;
   uint64_t universe_nodes_ = 0;
 };
+
+// Re-resolves misses that raced a partition migration — of a multiget batch
+// or of a single StorageTier::Get: a read formed against a server that lost
+// its keys between the ServerOf lookup and the read comes back with nullptr
+// slots; each null slot is
+// re-fetched through the tier's current partition map, retrying until BOTH
+// the owner stamp and the key's mutation version are stable around the
+// read, so the answer is still delivered exactly once — whatever
+// migrations, promotions, or mutations ran (or re-ran) meanwhile. The
+// version half matters for a node mutated (or materialised) during a
+// migration or replica promotion: its owner stamp can be stable while the
+// blob only just landed. Returns the number of keys re-resolved; no-op
+// when neither repartitioning nor mutations are on.
+size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
+                             std::vector<AdjacencyPtr>* values);
 
 }  // namespace grouting
 

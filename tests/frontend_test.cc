@@ -395,6 +395,32 @@ TEST_F(FrontendFixture, ShardedFleetMatchesSingleRouterAnswersOnBothEngines) {
   }
 }
 
+TEST_F(FrontendFixture, StaticSplittersCutTheSameStreamOnBothEngines) {
+  // The splitter is sequential state: the threaded feeder walks the arrival
+  // stream in order through it, so every static splitter must hand each
+  // shard exactly the arrivals the simulator's fleet hands it. A small
+  // session table makes the sticky cut depend on arrival order too.
+  const auto queries = env_->HotspotWorkload(2, 2, 20, 5);
+  for (const SplitterKind splitter :
+       {SplitterKind::kRoundRobin, SplitterKind::kHash, SplitterKind::kSticky}) {
+    SCOPED_TRACE(SplitterKindName(splitter));
+    RunOptions opts = SmallRun(RoutingSchemeKind::kHash);
+    opts.router_shards = 3;
+    opts.splitter = splitter;
+    opts.session_capacity = 8;
+    const auto run = [&](EngineKind kind) {
+      auto engine = MakeClusterEngine(kind, env_->graph(), env_->MakeClusterConfig(opts),
+                                      env_->MakeStrategy(opts));
+      return engine->Run(queries);
+    };
+    const ClusterMetrics sim = run(EngineKind::kSimulated);
+    const ClusterMetrics threaded = run(EngineKind::kThreaded);
+    ASSERT_EQ(sim.queries_per_router_shard.size(), 3u);
+    EXPECT_EQ(threaded.queries_per_router_shard, sim.queries_per_router_shard);
+    EXPECT_EQ(threaded.sticky_evictions, sim.sticky_evictions);
+  }
+}
+
 // ------------------------------------------------- adaptive re-splitting --
 
 TEST_F(FrontendFixture, AdaptiveFleetOfOneIsAnswerIdenticalToRouter) {

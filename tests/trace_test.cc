@@ -294,6 +294,59 @@ TEST_F(TraceTest, CrossEngineSpanStructureMatchesOnSequentialCluster) {
   EXPECT_EQ(counts[0], counts[1]);
 }
 
+TEST_F(TraceTest, ThreadedWireTimeIsSpentInsideTheLevel) {
+  // At window 1 with an injected wire delay, each batch's round trip is
+  // paid on the fetch thread while its level is open: every batch span
+  // covers at least the 2 x 200 µs round trip, and batch and stall spans
+  // start inside their level. The delay changes timing, never answers.
+  const auto queries = env_->HotspotWorkload(2, 2, 10, 3);
+  RunOptions opts = SmallRun(RoutingSchemeKind::kHash);
+  opts.max_inflight_batches = 1;
+  opts.trace_sample_every_n = 1;
+  ClusterConfig config = env_->MakeClusterConfig(opts);
+  config.injected_network_us = 200.0;
+  auto threaded = MakeClusterEngine(EngineKind::kThreaded, env_->graph(), config,
+                                    env_->MakeStrategy(opts));
+  const ClusterMetrics m = threaded->Run(queries);
+  ASSERT_EQ(m.queries, queries.size());
+  ASSERT_EQ(m.trace_events_dropped, 0u);
+
+  std::map<std::pair<uint64_t, uint32_t>, std::pair<double, double>> levels;
+  const std::vector<TraceEvent> events = threaded->tracer()->MergedEvents();
+  for (const TraceEvent& e : events) {
+    if (e.type == TraceEventType::kLevel) {
+      levels[{e.query_id, e.level}] = {e.ts_us, e.ts_us + e.dur_us};
+    }
+  }
+  size_t batches = 0;
+  for (const TraceEvent& e : events) {
+    if (e.type != TraceEventType::kBatch && e.type != TraceEventType::kStall) {
+      continue;
+    }
+    const auto level = levels.find({e.query_id, e.level});
+    ASSERT_NE(level, levels.end()) << "query " << e.query_id << " level " << e.level;
+    EXPECT_GE(e.ts_us, level->second.first) << "query " << e.query_id;
+    EXPECT_LE(e.ts_us + e.dur_us, level->second.second) << "query " << e.query_id;
+    if (e.type == TraceEventType::kBatch) {
+      ++batches;
+      EXPECT_GE(e.dur_us, 400.0 - 1e-6) << "query " << e.query_id;
+    }
+  }
+  EXPECT_GT(batches, 0u);
+
+  auto sim = Build(EngineKind::kSimulated, opts);
+  sim->Run(queries);
+  const auto want = SortedAnswers(*sim);
+  const auto got = SortedAnswers(*threaded);
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].query_id, got[i].query_id);
+    EXPECT_EQ(want[i].result.aggregate, got[i].result.aggregate);
+    EXPECT_EQ(want[i].result.walk_end, got[i].result.walk_end);
+    EXPECT_EQ(want[i].result.reachable, got[i].result.reachable);
+  }
+}
+
 TEST_F(TraceTest, FullRingsDropAndCountInsteadOfGrowing) {
   const auto queries = env_->HotspotWorkload(2, 2, 20, 4);
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);

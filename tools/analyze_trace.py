@@ -109,18 +109,19 @@ def validate(path, doc):
             if e["name"] == "level":
                 levels[e["args"]["level"]] = (e["ts"], e["ts"] + e["dur"])
         for e in spans:
-            if e["name"] != "batch":
+            name = e["name"]
+            if name not in ("batch", "stall"):
                 continue
             lvl = e["args"]["level"]
             if lvl not in levels:
-                report(f"{path}: query {qid} batch at level {lvl} has no level span")
+                report(f"{path}: query {qid} {name} at level {lvl} has no level span")
                 continue
             lo, hi = levels[lvl]
-            # Batches are issued inside their level; with async windows a
-            # batch may *complete* after the window rolls, so only the start
-            # is required to nest.
+            # Batches are issued, and stalls begin, inside their level; with
+            # async windows a batch may *complete* after the window rolls, so
+            # only the start is required to nest.
             if not (lo - EPS_US <= e["ts"] <= hi + EPS_US):
-                report(f"{path}: query {qid} batch start {e['ts']:.3f} outside "
+                report(f"{path}: query {qid} {name} start {e['ts']:.3f} outside "
                        f"level {lvl} span [{lo:.3f}, {hi:.3f}]")
     return errors, warnings
 
