@@ -72,9 +72,10 @@ struct ClusterConfig {
   // queries back to back. The simulated engine schedules arrivals in
   // virtual time; the threaded engine paces its feeder thread in wall time.
   double arrival_gap_us = 0.0;
-  // Threaded engine: injected one-way network delay per storage batch (µs),
-  // spent on the processor's fetch thread before the batch's reply lands,
-  // inside the level that issued it. 0 = memory speed.
+  // Threaded engine: injected one-way network delay per storage batch (µs).
+  // Each batch's reply lands one round trip after its service, and the
+  // issuing processor waits for it inside the level that issued it (with a
+  // window, trips overlap on the fetch thread). 0 = memory speed.
   double injected_network_us = 0.0;
   // Wire format the storage tier stores and ships adjacency blobs in
   // (src/storage/adjacency.h). kDeltaVarint compresses sorted neighbour

@@ -1,41 +1,48 @@
 #include "src/runtime/threaded_cluster.h"
 
-#include <deque>
 #include <utility>
 
-namespace grouting {
-namespace {
+#include "src/util/pace.h"
 
-// Routes a processor's multiget handles onto its fetch thread. If the queue
-// is already closed (shutdown), the handle is serviced inline so no waiter
-// is ever stranded.
-class QueueFetchExecutor : public BatchFetchExecutor {
+namespace grouting {
+
+// The one place injected wire time is charged. Service() runs a multiget
+// against the storage tier at once and stamps its reply to land one modelled
+// round trip after the service ends (2 x the one-way delay plus the per-KB
+// term on the reply's wire bytes, so a compressed encoding genuinely shortens
+// the trip) — service plus round trip, as the simulator composes a fetch. The
+// issuing processor's Wait() holds the reply until then, so every trip is
+// spent inside the level that issued it. With a queue (a window > 1)
+// Submit hands the handle to the processor's fetch thread, so up to `window`
+// trips ripen while the processor keeps probing its cache. Without one
+// (window 1) the processor services it itself: it would only wait out the
+// trip anyway, and a thread hand-off would add two wakeups per batch. A
+// closed queue (shutdown) also services inline, so no waiter is stranded.
+class WireFetchExecutor : public BatchFetchExecutor {
  public:
-  explicit QueueFetchExecutor(MpmcQueue<std::shared_ptr<MultiGetHandle>>* queue)
-      : queue_(queue) {}
+  WireFetchExecutor(const NetworkProfile& wire,
+                    MpmcQueue<std::shared_ptr<MultiGetHandle>>* queue)
+      : wire_(wire), queue_(queue) {}
 
   void Submit(std::shared_ptr<MultiGetHandle> handle) override {
-    if (!queue_->Push(handle)) {
-      handle->Execute();
+    if (queue_ == nullptr || !queue_->Push(handle)) {
+      Service(*handle);
     }
   }
 
+  void Service(MultiGetHandle& handle) const {
+    handle.ExecuteOnly();
+    handle.MarkDone(std::chrono::steady_clock::now() +
+                    std::chrono::nanoseconds(static_cast<int64_t>(
+                        wire_.RoundTripUs(handle.payload_bytes()) * 1000.0)));
+  }
+
  private:
+  NetworkProfile wire_;
   MpmcQueue<std::shared_ptr<MultiGetHandle>>* queue_;
 };
 
-// Paces the calling thread to `target`: sleeps coarse until 100 µs before it
-// when it is more than 200 µs away, then spins the last stretch (sleep_until
-// alone oversleeps by tens of µs). Arrivals and timed writes both pace here,
-// from the same run epoch.
-void PaceUntil(std::chrono::steady_clock::time_point target) {
-  if (target - std::chrono::steady_clock::now() > std::chrono::microseconds(200)) {
-    std::this_thread::sleep_until(target - std::chrono::microseconds(100));
-  }
-  while (std::chrono::steady_clock::now() < target) {
-    // spin the last stretch
-  }
-}
+namespace {
 
 double ElapsedUs(std::chrono::steady_clock::time_point from,
                  std::chrono::steady_clock::time_point to) {
@@ -73,16 +80,26 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
   for (uint32_t s = 0; s < config_.num_router_shards; ++s) {
     arrival_channels_.push_back(std::make_unique<MpmcQueue<Query>>());
   }
-  // Fetch threads exist whenever they have something to hide or to spend:
-  // a window of outstanding batches, or injected wire time (paid there, one
-  // round trip per batch, even at window 1). With neither, the processor
-  // services its multigets inline — the simulator's only path.
-  if (config_.processor.max_inflight_batches > 1 || config_.injected_network_us > 0.0) {
+  // Each processor gets a wire executor whenever there is a window of
+  // batches to overlap or injected wire time to charge; with a window its
+  // batches go through a queue to its own fetch thread. With neither, the
+  // processor services its multigets inline — the simulator's only path.
+  const bool window = config_.processor.max_inflight_batches > 1;
+  if (window || config_.injected_network_us > 0.0) {
+    // Gated like the one-way term: injected_network_us == 0 keeps the
+    // engine at memory speed.
+    const NetworkProfile wire{
+        .name = "injected",
+        .one_way_us = config_.injected_network_us,
+        .per_kb_us =
+            config_.injected_network_us > 0.0 ? config_.cost.net.per_kb_us : 0.0};
     for (uint32_t p = 0; p < config_.num_processors; ++p) {
-      fetch_queues_.push_back(
-          std::make_unique<MpmcQueue<std::shared_ptr<MultiGetHandle>>>());
-      fetch_executors_.push_back(
-          std::make_unique<QueueFetchExecutor>(fetch_queues_.back().get()));
+      if (window) {
+        fetch_queues_.push_back(
+            std::make_unique<MpmcQueue<std::shared_ptr<MultiGetHandle>>>());
+      }
+      fetch_executors_.push_back(std::make_unique<WireFetchExecutor>(
+          wire, window ? fetch_queues_.back().get() : nullptr));
     }
   }
   samples_.resize(config_.num_processors);
@@ -238,12 +255,17 @@ void ThreadedCluster::WriterLoop(Clock::time_point epoch) {
     if (shutdown_.load(std::memory_order_acquire)) {
       break;  // destructor teardown mid-run: abandon the schedule
     }
-    // Paced to the entry's offset from the run epoch, like the arrivals. A
-    // drained run (remaining_ == 0) stops pacing — the tail of the schedule
-    // applies back to back so both engines still apply every entry.
-    if (remaining_.load(std::memory_order_acquire) > 0) {
+    // Paced to the entry's offset from the run epoch, like the arrivals.
+    // Once the run has drained (remaining_ == 0) the spin is cut short and
+    // later entries are not paced — the tail of the schedule applies back to
+    // back so both engines still apply every entry.
+    const auto running = [this] {
+      return remaining_.load(std::memory_order_acquire) > 0;
+    };
+    if (running()) {
       PaceUntil(epoch + std::chrono::nanoseconds(
-                            static_cast<int64_t>(m.apply_us * 1000.0)));
+                            static_cast<int64_t>(m.apply_us * 1000.0)),
+                running);
     }
     ApplyOneMutation(m);
   }
@@ -342,64 +364,13 @@ void ThreadedCluster::GossipLoop() {
 }
 
 void ThreadedCluster::FetchLoop(uint32_t p) {
-  // The fetch thread plays the wire + remote server for its processor: it
-  // services each multiget against the (internally synchronised) storage
-  // tier as soon as the request is popped, but completes the handle only
-  // once the injected round trip has elapsed. Because execution and
-  // completion are decoupled, up to `window` round trips ripen
-  // concurrently while the processor probes its cache — the wall-clock
-  // overlap the async pipeline exists for. At window 1 the processor waits
-  // on each handle before issuing the next, so the trips serialise inside
-  // the level, one batch at a time. This is the only place injected wire
-  // time is spent. Completion order is FIFO, which matches the processor's
-  // oldest-first Wait() order.
-  std::deque<std::pair<std::shared_ptr<MultiGetHandle>, Clock::time_point>> pending;
-  const auto rtt_base = std::chrono::nanoseconds(
-      static_cast<int64_t>(2.0 * config_.injected_network_us * 1000.0));
-  // Transfer time scales with the reply's wire bytes (the cost model's
-  // per-KB term), so a compressed adjacency encoding genuinely shortens
-  // the trip. Gated like the base term: injected_network_us == 0 keeps the
-  // engine at memory speed.
-  const double per_kb_us =
-      config_.injected_network_us > 0.0 ? config_.cost.net.per_kb_us : 0.0;
-  const auto ripen = [&pending] {
-    while (!pending.empty() && Clock::now() >= pending.front().second) {
-      pending.front().first->MarkDone();
-      pending.pop_front();
-    }
-  };
-  while (true) {
-    std::optional<std::shared_ptr<MultiGetHandle>> request;
-    if (pending.empty()) {
-      request = fetch_queues_[p]->Pop();  // blocks; nullopt = closed + drained
-      if (!request.has_value()) {
-        break;
-      }
-    } else {
-      // Keep servicing new requests while earlier round trips ripen — a
-      // batch submitted during another's flight must start its own trip
-      // immediately, or the window degenerates back to serial RTTs.
-      request = fetch_queues_[p]->TryPop();
-      if (!request.has_value()) {
-        ripen();
-        // Yield rather than hard-spin: ripening is dead time, and on a
-        // core-starved host the processor thread needs the cycles more
-        // than the completion needs sub-microsecond precision.
-        std::this_thread::yield();
-        continue;
-      }
-    }
-    const auto sent_at = Clock::now();
-    (*request)->ExecuteOnly();
-    const auto transfer = std::chrono::nanoseconds(static_cast<int64_t>(
-        per_kb_us * static_cast<double>((*request)->payload_bytes()) / 1024.0 *
-        1000.0));
-    pending.emplace_back(std::move(*request), sent_at + rtt_base + transfer);
-    ripen();
-  }
-  while (!pending.empty()) {
-    std::this_thread::yield();
-    ripen();
+  // The fetch thread plays the remote server for its processor's window:
+  // each multiget is serviced as soon as it is popped, so a batch submitted
+  // while earlier ones are still on the wire starts its own trip at once.
+  // Completion order is FIFO, which matches the processor's oldest-first
+  // Wait() order.
+  while (auto request = fetch_queues_[p]->Pop()) {
+    fetch_executors_[p]->Service(**request);
   }
 }
 
@@ -498,14 +469,14 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
                                   tracer_->sample_every_n(), start);
     }
   }
-  if (!fetch_queues_.empty()) {
-    // Fetch threads first, and only then the executor seam: a processor
-    // must never submit a handle nobody will service.
-    fetch_threads_.reserve(config_.num_processors);
-    for (uint32_t p = 0; p < config_.num_processors; ++p) {
-      fetch_threads_.emplace_back([this, p] { FetchLoop(p); });
-      processors_[p]->set_fetch_executor(fetch_executors_[p].get());
-    }
+  // Fetch threads first, and only then the executor seam: a processor must
+  // never submit a handle nobody will service.
+  fetch_threads_.reserve(fetch_queues_.size());
+  for (uint32_t p = 0; p < fetch_queues_.size(); ++p) {
+    fetch_threads_.emplace_back([this, p] { FetchLoop(p); });
+  }
+  for (uint32_t p = 0; p < fetch_executors_.size(); ++p) {
+    processors_[p]->set_fetch_executor(fetch_executors_[p].get());
   }
   threads_.reserve(config_.num_processors);
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
@@ -539,8 +510,9 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   }
   if (writer_thread_.joinable()) {
     // The writer applies its remaining entries unpaced once the run has
-    // drained (remaining_ == 0 above), so this join is prompt and every
-    // schedule entry has been applied exactly once.
+    // drained (remaining_ == 0 above), so this join waits at most for the
+    // coarse sleep of the entry in flight, and every schedule entry has been
+    // applied exactly once.
     writer_thread_.join();
   }
   for (auto& t : router_threads_) {

@@ -20,14 +20,13 @@
 //   P processor threads : drain their channel; when empty they STEAL from
 //                    the longest sibling channel; every dispatch is fed
 //                    back to the routing shard's strategy (steal-aware),
-//   P fetch threads : (max_inflight_batches > 1 or injected_network_us > 0)
-//                    each processor's multiget handles are serviced on its
-//                    own fetch thread, which completes a handle only once
-//                    the injected network round trip has elapsed — so up to
-//                    `window` round trips overlap while the processor keeps
-//                    probing its cache, and at window 1 they are paid one
-//                    batch at a time inside the level. Without a window or
-//                    a wire delay the processor services batches inline,
+//   P fetch threads : (max_inflight_batches > 1) each processor's multiget
+//                    handles are serviced on its own fetch thread, so up to
+//                    `window` injected round trips overlap while the
+//                    processor keeps probing its cache. At window 1 the
+//                    processor services its batches itself; either way each
+//                    reply lands one injected round trip after its service,
+//                    inside the level that issued it,
 //   storage tier   : shared, internally synchronised per server.
 //
 // The simulator answers "what would the paper's cluster do"; this runtime
@@ -58,6 +57,8 @@
 #include "src/util/mpmc_queue.h"
 
 namespace grouting {
+
+class WireFetchExecutor;
 
 class ThreadedCluster : public ClusterEngine {
  public:
@@ -164,12 +165,12 @@ class ThreadedCluster : public ClusterEngine {
   std::vector<WallTracer> proc_tracers_;
   std::vector<WallTracer> shard_tracers_;
 
-  // Fetch pipeline (a window > 1 or an injected wire delay; empty
-  // otherwise): a per-processor request queue + fetch thread pair;
-  // executors are installed on the processors' sources only while the fetch
-  // threads run.
+  // Fetch pipeline: one wire executor per processor (a window > 1 or an
+  // injected wire delay; empty otherwise), installed on the processors'
+  // sources in Run(); with a window, also a per-processor request queue +
+  // fetch thread pair, started before the executors are installed.
   std::vector<std::unique_ptr<MpmcQueue<std::shared_ptr<MultiGetHandle>>>> fetch_queues_;
-  std::vector<std::unique_ptr<BatchFetchExecutor>> fetch_executors_;
+  std::vector<std::unique_ptr<WireFetchExecutor>> fetch_executors_;
   std::vector<std::thread> fetch_threads_;
 };
 

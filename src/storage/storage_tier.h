@@ -8,6 +8,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "src/partition/repartition.h"
 #include "src/storage/adjacency.h"
 #include "src/storage/kv_store.h"
+#include "src/util/pace.h"
 
 namespace grouting {
 
@@ -128,9 +130,9 @@ class MultiGetHandle {
 
   // Services the request against the server (thread-safe; the server
   // serialises internally) and publishes completion. Call exactly once.
-  // Execute() both fetches and completes; ExecuteOnly() + MarkDone() let a
-  // fetch thread service the gets first and hold the completion back until a
-  // modelled network round trip has elapsed.
+  // Execute() both fetches and completes; ExecuteOnly() + MarkDone() let the
+  // threaded runtime service the gets first and stamp when the reply lands
+  // after a modelled network round trip.
   void Execute() {
     ExecuteOnly();
     MarkDone();
@@ -146,10 +148,13 @@ class MultiGetHandle {
     payload_bytes_ = bytes;
     ReleaseOpenSlot();
   }
-  void MarkDone() {
+  // `lands_at` is when the reply arrives over the modelled wire: Wait()
+  // returns no earlier. The default lands at once.
+  void MarkDone(std::chrono::steady_clock::time_point lands_at = {}) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       done_ = true;
+      lands_at_ = lands_at;
     }
     cv_.notify_all();
   }
@@ -164,10 +169,18 @@ class MultiGetHandle {
   // round trip charges per kilobyte — so compressed blobs ship faster.
   uint64_t payload_bytes() const { return payload_bytes_; }
 
-  // Blocks until completion; the returned values positionally match keys().
+  // Blocks until completion and the reply has landed; the returned values
+  // positionally match keys().
   const std::vector<AdjacencyPtr>& Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return done_; });
+    std::chrono::steady_clock::time_point lands_at;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return done_; });
+      lands_at = lands_at_;
+    }
+    if (lands_at != std::chrono::steady_clock::time_point{}) {
+      PaceUntil(lands_at);
+    }
     return values_;
   }
 
@@ -190,13 +203,16 @@ class MultiGetHandle {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool done_ = false;
+  std::chrono::steady_clock::time_point lands_at_;
   std::atomic<std::atomic<int64_t>*> open_slot_{nullptr};
 };
 
 // Seam between "who issues a multiget" and "who runs it". The default
 // (nullptr executor at the call sites) services the request inline on the
-// issuing thread; the threaded runtime submits to a per-processor fetch
-// thread so the request genuinely overlaps with the processor's cache work.
+// issuing thread; the threaded runtime's executor stamps each reply with its
+// modelled round trip and, with a window, services it on a per-processor
+// fetch thread so the request genuinely overlaps with the processor's cache
+// work.
 class BatchFetchExecutor {
  public:
   virtual ~BatchFetchExecutor() = default;
