@@ -299,8 +299,6 @@ int main(int argc, char** argv) {
   opts.splitter = kSplitters.at(splitter_name);
   opts.gossip_period_us =
       flags.GetDouble("gossip-period", 200.0, "µs between gossip rounds; 0 = off", 0.0);
-  opts.gossip_merge_weight =
-      flags.GetDouble("gossip-weight", 0.5, "gossip EMA blend weight", 0.0, 1.0);
   opts.rebalance_threshold = flags.GetDouble(
       "rebalance-threshold", 0.0, "adaptive splitter max/min load trigger; <=1 = off");
   opts.migration_cap =

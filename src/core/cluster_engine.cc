@@ -9,6 +9,7 @@
 #include "src/frontend/admission.h"
 #include "src/runtime/threaded_cluster.h"
 #include "src/sim/decoupled_sim.h"
+#include "src/util/load_balance.h"
 
 namespace grouting {
 
@@ -150,8 +151,6 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
   GROUTING_CHECK(config_.num_processors > 0);
   GROUTING_CHECK(config_.num_storage_servers > 0);
   GROUTING_CHECK(config_.num_router_shards > 0);
-  GROUTING_CHECK(config_.gossip_merge_weight >= 0.0 &&
-                 config_.gossip_merge_weight <= 1.0);
   GROUTING_CHECK(config_.router_session_capacity > 0);
   GROUTING_CHECK_MSG(config_.processor.max_inflight_batches > 0,
                      "max_inflight_batches must be >= 1");
@@ -268,7 +267,7 @@ void ClusterEngine::AddProcessorStats(ClusterMetrics* m) const {
 }
 
 void ClusterEngine::AddStorageTierStats(ClusterMetrics* m) const {
-  m->storage_load_imbalance = StorageLoadImbalance(storage_->GetRequestsPerServer());
+  m->storage_load_imbalance = MaxMinLoadRatio(storage_->GetRequestsPerServer());
   m->partitions_migrated = partitions_migrated_;
   m->adjacency_compression_ratio = storage_->AdjacencyCompressionRatio();
   m->partitions_replicated = replica_promotions_;
@@ -282,7 +281,7 @@ std::vector<StorageTier::MigrationResult> ClusterEngine::RepartitionRound() {
   if (monitor == nullptr) {
     return executed;
   }
-  monitor->RollWindow(repartition_config_.load_decay);
+  monitor->RollWindow(repartition_config_.migration.load_decay);
   if (repartition_config_.replication_enabled()) {
     const ReplicationPlan plan = PlanReplication(
         *storage_->partition_map(), monitor->rates(), repartition_config_);

@@ -93,8 +93,6 @@ struct ClusterConfig {
   // Period of the load/EMA gossip between shards (virtual µs on the
   // simulated engine, wall-clock µs on the threaded one). 0 disables gossip.
   double gossip_period_us = 200.0;
-  // Blend weight for sibling EMA state at a gossip round, in [0, 1].
-  double gossip_merge_weight = 0.5;
   // Adaptive arrival re-splitting (router_splitter == kAdaptive): at each
   // gossip round, migrate hot sessions from the most- to the least-loaded
   // shard once the max/min routed-load ratio exceeds this threshold. <= 1
@@ -206,8 +204,8 @@ struct ClusterConfig {
   // raw knobs.
   RepartitionConfig MakeRepartitionConfig() const {
     RepartitionConfig repartition;
-    repartition.threshold = repartition_threshold;
-    repartition.migration_cap = repartition_cap;
+    repartition.migration.threshold = repartition_threshold;
+    repartition.migration.migration_cap = repartition_cap;
     repartition.partitions_per_server = partitions_per_server;
     repartition.replication_top_k = replication_top_k;
     repartition.replica_demote_threshold = replica_demote_threshold;

@@ -125,7 +125,6 @@ ClusterConfig ExperimentEnv::MakeClusterConfig(const RunOptions& options) {
   config.num_router_shards = options.router_shards;
   config.router_splitter = options.splitter;
   config.gossip_period_us = options.gossip_period_us;
-  config.gossip_merge_weight = options.gossip_merge_weight;
   config.router_rebalance_threshold = options.rebalance_threshold;
   config.router_migration_cap = options.migration_cap;
   config.router_session_capacity = options.session_capacity;
@@ -161,7 +160,6 @@ ClusterMetrics ExperimentEnv::Run(EngineKind engine, const RunOptions& options,
   if (options.enable_mutations && options.num_mutations > 0) {
     MutationScheduleConfig mc;
     mc.num_mutations = options.num_mutations;
-    mc.gap_us = options.mutation_gap_us;
     mc.seed = seed_ ^ 0x66;
     cluster->set_mutation_schedule(GenerateMutationSchedule(graph(), {}, mc));
   }

@@ -63,7 +63,6 @@ struct RunOptions {
   uint32_t router_shards = 1;
   SplitterKind splitter = SplitterKind::kRoundRobin;
   double gossip_period_us = 200.0;
-  double gossip_merge_weight = 0.5;
   // Adaptive arrival re-splitting (splitter == kAdaptive): migration trigger
   // ratio (<= 1 disables — adaptive then equals sticky), per-round session
   // cap, and the sticky/adaptive session-table bound.
@@ -116,10 +115,10 @@ struct RunOptions {
   // Online graph mutations (src/workload/mutations.h): enable the storage
   // tier's versioned write path, and — when num_mutations > 0 — generate a
   // deterministic edge-mutation schedule (seed = env seed ^ 0x66) spaced
-  // mutation_gap_us apart and install it on the engine before Run().
+  // MutationScheduleConfig::gap_us apart and install it on the engine
+  // before Run().
   bool enable_mutations = false;
   size_t num_mutations = 0;
-  double mutation_gap_us = 50.0;
   // Minimum virtual/wall time between index-maintenance passes on the
   // gossip cadence; 0 = refresh on every gossip tick.
   double index_refresh_period_us = 0.0;

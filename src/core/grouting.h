@@ -49,6 +49,7 @@
 #include "src/runtime/threaded_cluster.h"
 #include "src/sim/decoupled_sim.h"
 #include "src/storage/storage_tier.h"
+#include "src/util/load_balance.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
 #include "src/workload/datasets.h"

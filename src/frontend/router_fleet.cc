@@ -102,7 +102,7 @@ void RouterFleet::GossipRound() {
   for (auto& shard : shards_) {
     strategies.push_back(&shard->strategy());
   }
-  GossipBlendStrategies(strategies, config_.gossip.merge_weight);
+  GossipBlendStrategies(strategies);
 
   gossip_stats_.last_divergence_after = CurrentEmaDivergence();
   gossip_stats_.rounds += 1;
@@ -127,7 +127,7 @@ size_t RouterFleet::RebalanceRound() {
   for (auto& shard : shards_) {
     strategies.push_back(&shard->strategy());
   }
-  ApplyMigrationCarry(strategies, migrations, config_.rebalance.state_carry_weight);
+  ApplyMigrationCarry(strategies, migrations);
   return migrations.size();
 }
 

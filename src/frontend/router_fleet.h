@@ -44,7 +44,7 @@ struct FleetConfig {
   GossipConfig gossip;
   // Adaptive re-splitting of the arrival stream (splitter == kAdaptive):
   // each gossip round may migrate hot sessions off the most-loaded shard.
-  RebalanceConfig rebalance;
+  RebalancePolicy rebalance;
 };
 
 
@@ -87,8 +87,8 @@ class RouterFleet {
   // Adaptive arrival re-splitting: feeds the shards' routed counts to the
   // splitter and migrates hot sessions per FleetConfig::rebalance. A moved
   // session carries strategy state: the destination shard merges the source
-  // shard's gossip state (MergeRemoteState) so EmbedStrategy's EMA does not
-  // restart cold. Returns the number of sessions migrated this round.
+  // shard's gossip state (ApplyMigrationCarry) so EmbedStrategy's EMA does
+  // not restart cold. Returns the number of sessions migrated this round.
   size_t RebalanceRound();
 
   // Mean pairwise L2 distance between shard strategies' gossip state, right
@@ -105,7 +105,7 @@ class RouterFleet {
   std::vector<uint64_t> RoutedPerShard() const;
 
   // Max/min routed-load ratio across shards right now (1.0 for one shard).
-  double LoadImbalance() const { return RoutedLoadImbalance(RoutedPerShard()); }
+  double LoadImbalance() const { return MaxMinLoadRatio(RoutedPerShard()); }
 
   // Fleet-wide router stats: summed routed/dispatched/steals and the
   // per-processor dispatch split across all shards.

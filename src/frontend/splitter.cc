@@ -1,10 +1,6 @@
 #include "src/frontend/splitter.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/util/check.h"
-#include "src/util/stats.h"
 
 namespace grouting {
 
@@ -88,14 +84,13 @@ uint32_t ArrivalSplitter::ShardFor(const Query& q) {
 }
 
 std::vector<SessionMigration> ArrivalSplitter::Rebalance(
-    std::span<const uint64_t> shard_loads, const RebalanceConfig& config) {
+    std::span<const uint64_t> shard_loads, const RebalancePolicy& policy) {
   std::vector<SessionMigration> migrations;
-  if (kind_ != SplitterKind::kAdaptive || num_shards_ < 2 || !config.enabled()) {
+  if (kind_ != SplitterKind::kAdaptive || num_shards_ < 2 || !policy.enabled()) {
     return migrations;
   }
   GROUTING_CHECK(shard_loads.size() == num_shards_);
-  GROUTING_CHECK(config.hysteresis > 0.0 && config.hysteresis <= 1.0);
-  GROUTING_CHECK(config.load_decay >= 0.0 && config.load_decay < 1.0);
+  GROUTING_CHECK(policy.load_decay >= 0.0 && policy.load_decay < 1.0);
   stats_.rebalance_rounds += 1;
 
   // Roll this round's delta into the decayed rate estimates — the shards'
@@ -105,96 +100,33 @@ std::vector<SessionMigration> ArrivalSplitter::Rebalance(
   for (uint32_t s = 0; s < num_shards_; ++s) {
     const uint64_t delta =
         shard_loads[s] >= last_loads_[s] ? shard_loads[s] - last_loads_[s] : 0;
-    recent_load_[s] = config.load_decay * recent_load_[s] + static_cast<double>(delta);
+    recent_load_[s] = policy.load_decay * recent_load_[s] + static_cast<double>(delta);
     last_loads_[s] = shard_loads[s];
   }
+  std::vector<MovableLoad> movable;
+  movable.reserve(sessions_.size());
   for (auto& [node, session] : sessions_) {
     session.rate =
-        config.load_decay * session.rate + static_cast<double>(session.window);
+        policy.load_decay * session.rate + static_cast<double>(session.window);
     session.window = 0;
+    movable.push_back({node, session.shard, session.rate});
   }
 
-  const auto ratio = [&](uint32_t hi, uint32_t lo) {
-    return (recent_load_[hi] + 1.0) / (recent_load_[lo] + 1.0);
-  };
-  const double stop_ratio = std::max(1.0, config.hysteresis * config.threshold);
-
-  bool triggered = false;
-  while (migrations.size() < config.migration_cap) {
-    uint32_t hottest = 0;
-    uint32_t coolest = 0;
-    for (uint32_t s = 1; s < num_shards_; ++s) {
-      if (recent_load_[s] > recent_load_[hottest]) {
-        hottest = s;
-      }
-      if (recent_load_[s] < recent_load_[coolest]) {
-        coolest = s;
-      }
-    }
-    const double r = ratio(hottest, coolest);
-    const double gap_floor =
-        config.noise_sigmas * std::sqrt(std::max(recent_load_[hottest], 1.0));
-    if (recent_load_[hottest] - recent_load_[coolest] <= gap_floor) {
-      break;  // the spread is within sampling noise: not actionable skew
-    }
-    if (!triggered) {
-      if (r <= config.threshold) {
-        return migrations;  // hysteresis: below the trigger, leave it alone
-      }
-      triggered = true;
-    } else if (r <= stop_ratio) {
-      break;  // drained below the water mark
-    }
-
-    // Move the session that lands the pair closest to even: resulting
-    // spread |gap - 2a|, candidates restricted to a < gap so every move
-    // strictly narrows the spread — a session hotter than the whole gap
-    // would only relocate the hotspot and invite the next round to move it
-    // straight back (thrash).
-    const double gap = recent_load_[hottest] - recent_load_[coolest];
-    NodeId victim = kInvalidNode;
-    double victim_spread = gap;
-    double victim_rate = 0.0;
-    for (const auto& [node, session] : sessions_) {
-      if (session.shard != hottest || session.rate <= 0.0) {
-        continue;
-      }
-      if (session.rate >= gap) {
-        continue;
-      }
-      const double spread = std::abs(gap - 2.0 * session.rate);
-      if (victim == kInvalidNode || spread < victim_spread ||
-          (spread == victim_spread && node < victim)) {
-        victim = node;
-        victim_spread = spread;
-        victim_rate = session.rate;
-      }
-    }
-    if (victim == kInvalidNode) {
-      break;  // nothing movable without widening the spread
-    }
-
-    // The session's rate moves with it, so the corrected skew is already
-    // reflected when the next round's snapshot arrives.
-    Session& moved = sessions_.at(victim);
-    moved.shard = coolest;
-    sessions_per_shard_[hottest] -= 1;
-    sessions_per_shard_[coolest] += 1;
-    recent_load_[hottest] -= victim_rate;
-    recent_load_[coolest] += victim_rate;
-    migrations.push_back({victim, hottest, coolest});
-    stats_.migrations += 1;
+  // The moved sessions' rates shift between the recent_load_ entries, so
+  // the corrected skew is already reflected when the next snapshot arrives.
+  for (const LoadMove& move : PlanLoadMoves(recent_load_, movable, policy)) {
+    sessions_.at(move.id).shard = move.to;
+    sessions_per_shard_[move.from] -= 1;
+    sessions_per_shard_[move.to] += 1;
+    migrations.push_back({move.id, move.from, move.to});
   }
+  stats_.migrations += migrations.size();
   return migrations;
 }
 
 uint32_t ArrivalSplitter::SessionShard(NodeId session) const {
   const auto it = sessions_.find(session);
   return it == sessions_.end() ? num_shards_ : it->second.shard;
-}
-
-double RoutedLoadImbalance(std::span<const uint64_t> routed) {
-  return MaxMinLoadRatio(routed);
 }
 
 }  // namespace grouting

@@ -12,8 +12,9 @@
 //                   the gossip round's per-shard routed-load snapshot and
 //                   migrates the hottest sessions from the most- to the
 //                   least-loaded shard once the max/min load ratio exceeds
-//                   RebalanceConfig::threshold (PHD-Store-style dynamic
-//                   repartitioning, applied to the arrival stream).
+//                   RebalancePolicy::threshold. The moves come from
+//                   PlanLoadMoves (src/util/load_balance.h), the same
+//                   controller the storage tier's PlanRepartition runs.
 //
 // Sessions (sticky/adaptive) are keyed by query node and bounded: at
 // session_capacity the oldest session is evicted FIFO (cheap, O(1)), so a
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "src/query/query.h"
+#include "src/util/load_balance.h"
 #include "src/util/murmur3.h"
 
 namespace grouting {
@@ -46,37 +48,6 @@ enum class SplitterKind {
 };
 
 std::string SplitterKindName(SplitterKind kind);
-
-// Adaptive re-splitting policy (kAdaptive only; ignored otherwise).
-struct RebalanceConfig {
-  // Trigger: migrate when (max+1)/(min+1) over the shards' effective routed
-  // loads exceeds this ratio. <= 1 (or infinity) disables migration, which
-  // makes kAdaptive decision-identical to kSticky.
-  double threshold = 0.0;
-  // At most this many sessions move per Rebalance() round.
-  uint32_t migration_cap = 8;
-  // Once triggered, migrate down to hysteresis * threshold (a lower water
-  // mark in (0, 1]) so the next round does not immediately re-trigger.
-  double hysteresis = 0.9;
-  // Per-round decay of the load signal, in [0, 1). Each Rebalance() rolls
-  // the snapshot's per-shard delta into an EWMA — the controller reacts to
-  // recent ARRIVAL RATE, not to the whole run's cumulative counts (which
-  // would make it ever less sensitive as the run grows).
-  double load_decay = 0.8;
-  // Noise floor: migrate only while the hot-cold gap exceeds this many
-  // Poisson sigmas (sqrt of the hottest shard's recent load). Short gossip
-  // windows carry mostly sampling noise; without the floor the controller
-  // thrashes sessions chasing it.
-  double noise_sigmas = 3.0;
-  // Strategy-state carry on migration: the destination shard merges the
-  // source shard's gossip state with this weight (MergeRemoteState), so an
-  // EmbedStrategy receiving a migrated session does not restart cold.
-  double state_carry_weight = 0.5;
-
-  bool enabled() const {
-    return threshold > 1.0 && threshold < 1e30 && migration_cap > 0;
-  }
-};
 
 struct SplitterStats {
   uint64_t evictions = 0;         // sessions dropped at the capacity bound
@@ -108,15 +79,13 @@ class ArrivalSplitter {
 
   // Adaptive re-splitting round: given the cumulative per-shard routed-load
   // snapshot from the gossip channel, rolls the delta since the previous
-  // round into a decayed per-shard rate estimate, then moves the hottest
-  // sessions off the most-loaded shard until the max/min rate ratio drops
-  // below the hysteresis water mark, the migration cap is hit, or no
-  // session can move without widening the spread. A migrating session
+  // round into a decayed per-shard rate estimate, then lets PlanLoadMoves
+  // move live sessions off the most-loaded shard. A migrating session
   // carries its own decayed rate from source to destination accumulator, so
   // already-corrected skew does not re-trigger. Returns the migrations
-  // applied (empty unless kind == kAdaptive and config.enabled()).
+  // applied (empty unless kind == kAdaptive and policy.enabled()).
   std::vector<SessionMigration> Rebalance(std::span<const uint64_t> shard_loads,
-                                          const RebalanceConfig& config);
+                                          const RebalancePolicy& policy);
 
   // Current shard of a live session, or num_shards() if unknown/evicted.
   uint32_t SessionShard(NodeId session) const;
@@ -152,10 +121,6 @@ class ArrivalSplitter {
   std::vector<double> recent_load_;
   SplitterStats stats_;
 };
-
-// Max/min ratio over per-shard routed counts (min clamped to 1); 1.0 for a
-// single shard. The ClusterMetrics::router_load_imbalance definition.
-double RoutedLoadImbalance(std::span<const uint64_t> routed);
 
 }  // namespace grouting
 

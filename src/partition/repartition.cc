@@ -1,10 +1,8 @@
 #include "src/partition/repartition.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/check.h"
-#include "src/util/stats.h"
 
 namespace grouting {
 
@@ -119,93 +117,36 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
                                                 std::span<const double> rates,
                                                 const RepartitionConfig& config) {
   std::vector<PartitionMigration> migrations;
-  const uint32_t num_servers = map.num_servers();
-  if (!config.enabled() || num_servers < 2) {
+  if (!config.enabled()) {
     return migrations;
   }
   GROUTING_CHECK(rates.size() == map.num_partitions());
-  GROUTING_CHECK(config.hysteresis > 0.0 && config.hysteresis <= 1.0);
 
   // Working copy: planned moves shift load between servers immediately, so
   // one round never double-moves against a stale picture. A replicated
   // partition's rate splits evenly across its holders (p2c read fan-out);
   // x / 1.0 is exact, so with no replicas the sums are bit-identical to the
-  // pre-replication planner.
-  std::vector<uint32_t> owner = map.OwnerSnapshot();
+  // pre-replication planner. Replicated partitions are never migration
+  // victims: their heat is already being split across replicas, and
+  // excluding them keeps the single-primary invariant MigratePartition
+  // relies on simple.
+  const std::vector<uint32_t> owner = map.OwnerSnapshot();
   const std::vector<std::vector<uint32_t>> replicas = map.ReplicaSnapshot();
-  std::vector<double> server_load(num_servers, 0.0);
+  std::vector<double> server_load(map.num_servers(), 0.0);
+  std::vector<MovableLoad> movable;
   for (uint32_t q = 0; q < map.num_partitions(); ++q) {
     const double share = rates[q] / static_cast<double>(1 + replicas[q].size());
     server_load[owner[q]] += share;
     for (const uint32_t r : replicas[q]) {
       server_load[r] += share;
     }
+    if (replicas[q].empty()) {
+      movable.push_back({q, owner[q], rates[q]});
+    }
   }
 
-  const auto ratio = [&](uint32_t hi, uint32_t lo) {
-    return (server_load[hi] + 1.0) / (server_load[lo] + 1.0);
-  };
-  const double stop_ratio = std::max(1.0, config.hysteresis * config.threshold);
-
-  bool triggered = false;
-  while (migrations.size() < config.migration_cap) {
-    uint32_t hottest = 0;
-    uint32_t coolest = 0;
-    for (uint32_t s = 1; s < num_servers; ++s) {
-      if (server_load[s] > server_load[hottest]) {
-        hottest = s;
-      }
-      if (server_load[s] < server_load[coolest]) {
-        coolest = s;
-      }
-    }
-    const double r = ratio(hottest, coolest);
-    const double gap = server_load[hottest] - server_load[coolest];
-    const double gap_floor =
-        config.noise_sigmas * std::sqrt(std::max(server_load[hottest], 1.0));
-    if (gap <= gap_floor) {
-      break;  // the spread is within sampling noise: not actionable skew
-    }
-    if (!triggered) {
-      if (r <= config.threshold) {
-        return migrations;  // below the trigger, leave the map alone
-      }
-      triggered = true;
-    } else if (r <= stop_ratio) {
-      break;  // drained below the hysteresis water mark
-    }
-
-    // Victim rule (mirrors the router rebalancer): move the partition that
-    // lands the pair closest to even, restricted to rate < gap so every
-    // move strictly narrows the spread — a partition hotter than the whole
-    // gap would only relocate the hotspot and invite thrash. Ties fall to
-    // the lowest partition id (the ascending scan keeps the first).
-    // Replicated partitions are never migration victims: their heat is
-    // already being split across replicas, and excluding them keeps the
-    // single-primary invariant MigratePartition relies on simple.
-    uint32_t victim = map.num_partitions();
-    double victim_spread = gap;
-    double victim_rate = 0.0;
-    for (uint32_t q = 0; q < map.num_partitions(); ++q) {
-      if (owner[q] != hottest || rates[q] <= 0.0 || rates[q] >= gap ||
-          !replicas[q].empty()) {
-        continue;
-      }
-      const double spread = std::abs(gap - 2.0 * rates[q]);
-      if (victim == map.num_partitions() || spread < victim_spread) {
-        victim = q;
-        victim_spread = spread;
-        victim_rate = rates[q];
-      }
-    }
-    if (victim == map.num_partitions()) {
-      break;  // nothing movable without widening the spread
-    }
-
-    owner[victim] = coolest;
-    server_load[hottest] -= victim_rate;
-    server_load[coolest] += victim_rate;
-    migrations.push_back({victim, hottest, coolest});
+  for (const LoadMove& move : PlanLoadMoves(server_load, movable, config.migration)) {
+    migrations.push_back({move.id, move.from, move.to});
   }
   return migrations;
 }
@@ -275,10 +216,10 @@ ReplicationPlan PlanReplication(const PartitionMap& map,
   // within the migration trigger ratio, another copy buys nothing — without
   // the gate, steady skew would eventually replicate every warm partition
   // everywhere, paying copy stalls for flatness nobody measures.
-  const double imbalance_gate = std::max(config.threshold, 1.0);
+  const double imbalance_gate = std::max(config.migration.threshold, 1.0);
   const double avg_partition = total / static_cast<double>(num_partitions);
-  const double hot_floor =
-      std::max(config.noise_sigmas, config.replica_hot_fraction * avg_partition);
+  const double hot_floor = std::max(config.migration.noise_sigmas,
+                                    config.replica_hot_fraction * avg_partition);
   std::vector<uint32_t> order(num_partitions);
   for (uint32_t q = 0; q < num_partitions; ++q) {
     order[q] = q;
@@ -330,10 +271,6 @@ ReplicationPlan PlanReplication(const PartitionMap& map,
     server_load[target] += rates[q] / (oh + 1.0);
   }
   return plan;
-}
-
-double StorageLoadImbalance(std::span<const uint64_t> per_server) {
-  return MaxMinLoadRatio(per_server);
 }
 
 }  // namespace grouting

@@ -6,8 +6,7 @@
 // Zipf-skewed workload concentrates traversal traffic on keys that happen
 // to live on one storage server: router-side re-splitting (src/frontend/)
 // cannot help, because the hot vertices physically live there. This module
-// closes that gap with three pieces, mirroring the arrival-stream
-// rebalancer's controller design (ArrivalSplitter::Rebalance):
+// closes that gap with three pieces:
 //
 //   * PartitionMap     — the key space is cut into P = partitions_per_server
 //                        x num_servers virtual partitions by the SAME
@@ -22,12 +21,12 @@
 //                        with one Record() per key from the StorageTier
 //                        get/multiget paths and rolled into rates at
 //                        planner rounds.
-//   * PlanRepartition  — the controller: at gossip-aligned rounds, propose
-//                        hot-partition migrations from the most- to the
-//                        least-loaded storage server once the max/min load
-//                        ratio exceeds a threshold, with hysteresis, a
-//                        per-round migration cap, a Poisson noise floor and
-//                        a strict-improvement victim rule.
+//   * PlanRepartition  — at gossip-aligned rounds, hands the servers'
+//                        loads and the unreplicated partitions to
+//                        PlanLoadMoves (src/util/load_balance.h), the
+//                        controller the arrival splitter's Rebalance() also
+//                        runs, and turns its moves into partition
+//                        migrations.
 //
 // The physical move (copy keys -> flip owner -> drain in-flight multigets
 // against the old owner -> delete) is the storage tier's job:
@@ -53,33 +52,21 @@
 #include <vector>
 
 #include "src/graph/graph.h"
+#include "src/util/load_balance.h"
 #include "src/util/murmur3.h"
 
 namespace grouting {
 
-// Controller policy for the storage-tier rebalancer. Threshold and cap are
-// surfaced as ClusterConfig / CLI knobs; the rest are tuned defaults shared
-// with the router rebalancer's controller.
+// Policy for the storage-tier rebalancer. The migration threshold and cap
+// are surfaced as ClusterConfig / CLI knobs; the rest are tuned defaults.
 struct RepartitionConfig {
-  // Trigger: migrate when (max+1)/(min+1) over the servers' decayed access
-  // rates exceeds this ratio. <= 1 (or infinity) disables repartitioning
-  // entirely — the tier then behaves exactly as before this subsystem.
-  double threshold = 0.0;
-  // At most this many partitions move per repartition round.
-  uint32_t migration_cap = 4;
+  // The migration controller (PlanLoadMoves over servers and partitions).
+  // A threshold <= 1 (or infinity) disables migration — the tier then
+  // behaves exactly as before this subsystem.
+  RebalancePolicy migration{.migration_cap = 4};
   // Virtual partitions per storage server (P = this x num_servers). More
   // partitions = finer-grained moves at a larger map.
   uint32_t partitions_per_server = 8;
-  // Once triggered, migrate down to hysteresis * threshold (a lower water
-  // mark in (0, 1]) so the next round does not immediately re-trigger.
-  double hysteresis = 0.9;
-  // Per-round decay of the monitor's rate estimates, in [0, 1): the
-  // controller reacts to the RECENT access rate, not cumulative counts.
-  double load_decay = 0.8;
-  // Noise floor: migrate only while the hot-cold server gap exceeds this
-  // many Poisson sigmas (sqrt of the hottest server's recent load), so
-  // short windows of sampling jitter never thrash partitions.
-  double noise_sigmas = 3.0;
 
   // --- Hot-partition replication (PlanReplication) ----------------------
   // Promote up to this many of the hottest partitions to one extra replica
@@ -101,10 +88,7 @@ struct RepartitionConfig {
   // promotion/demotion hysteresis band.
   double replica_hot_fraction = 2.0;
 
-  bool enabled() const {
-    return threshold > 1.0 && threshold < 1e30 && migration_cap > 0 &&
-           partitions_per_server > 0;
-  }
+  bool enabled() const { return migration.enabled() && partitions_per_server > 0; }
   bool replication_enabled() const {
     return replication_top_k > 0 && max_replicas_per_partition > 0 &&
            partitions_per_server > 0;
@@ -230,7 +214,7 @@ class PartitionMap {
 // Per-partition access-rate monitor. Record() is called from the tier's
 // get/multiget paths (any thread, relaxed atomics); RollWindow() is called
 // by the single planner thread at repartition rounds and folds the window
-// counts into decayed rate estimates, exactly like the arrival splitter's
+// counts into decayed rate estimates, like the arrival splitter's
 // per-session rate estimator.
 class PartitionMonitor {
  public:
@@ -261,10 +245,11 @@ class PartitionMonitor {
 };
 
 // The repartition controller: given the current map and the monitor's
-// decayed per-partition rates, plan up to migration_cap hot-partition moves
-// from the most- to the least-loaded server. Pure — the map is NOT mutated
-// (the executor flips owners as each physical move lands); planned moves
-// are reflected in a local working copy so one round stays consistent.
+// decayed per-partition rates, plan up to migration.migration_cap
+// hot-partition moves from the most- to the least-loaded server. Pure — the
+// map is NOT mutated (the executor flips owners as each physical move
+// lands); planned moves are reflected in a local working copy so one round
+// stays consistent.
 std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
                                                 std::span<const double> rates,
                                                 const RepartitionConfig& config);
@@ -281,10 +266,6 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
 ReplicationPlan PlanReplication(const PartitionMap& map,
                                 std::span<const double> rates,
                                 const RepartitionConfig& config);
-
-// Max/min ratio over per-server load sums (min clamped to 1); the
-// ClusterMetrics::storage_load_imbalance definition.
-double StorageLoadImbalance(std::span<const uint64_t> per_server);
 
 }  // namespace grouting
 

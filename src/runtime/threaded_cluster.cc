@@ -303,7 +303,7 @@ void ThreadedCluster::GossipLoop() {
         locks.emplace_back(shard->mu);
       }
       gossip_stats_.last_divergence_before = CrossShardStateDivergence(const_views);
-      GossipBlendStrategies(views, config_.gossip_merge_weight);
+      GossipBlendStrategies(views);
       gossip_stats_.last_divergence_after = CrossShardStateDivergence(const_views);
       gossip_stats_.rounds += 1;
     }
@@ -356,7 +356,7 @@ void ThreadedCluster::GossipLoop() {
         for (auto& shard : shards_) {
           locks.emplace_back(shard->mu);
         }
-        ApplyMigrationCarry(views, migrations, rebalance_.state_carry_weight);
+        ApplyMigrationCarry(views, migrations);
         sessions_migrated_.fetch_add(migrations.size(), std::memory_order_relaxed);
       }
     }
@@ -570,7 +570,7 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   m.router_ema_divergence = CrossShardStateDivergence(views);
   m.sessions_migrated = sessions_migrated_.load(std::memory_order_relaxed);
   m.sticky_evictions = splitter_.stats().evictions;
-  m.router_load_imbalance = RoutedLoadImbalance(m.queries_per_router_shard);
+  m.router_load_imbalance = MaxMinLoadRatio(m.queries_per_router_shard);
   AddStorageTierStats(&m);
   m.repartition_stall_us = repartition_stall_us_;
   AddMutationStats(&m);

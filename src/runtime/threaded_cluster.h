@@ -146,7 +146,7 @@ class ThreadedCluster : public ClusterEngine {
   // the adaptive splitter — the gossip tick (Rebalance), behind splitter_mu_.
   ArrivalSplitter splitter_;
   std::mutex splitter_mu_;
-  RebalanceConfig rebalance_;
+  RebalancePolicy rebalance_;
   bool adaptive_;  // adaptive splitter: rebalance at gossip ticks
   // Per-tenant admission decisions for the run's schedule, computed in
   // Run() before any thread spawns and identical to the simulated engine's

@@ -16,7 +16,6 @@ DecoupledClusterSim::DecoupledClusterSim(const Graph& graph, const ClusterConfig
   fc.session_capacity = config_.router_session_capacity;
   fc.router.enable_stealing = config_.enable_stealing;
   fc.gossip.period_us = config_.gossip_period_us;
-  fc.gossip.merge_weight = config_.gossip_merge_weight;
   fc.rebalance.threshold = config_.router_rebalance_threshold;
   fc.rebalance.migration_cap = config_.router_migration_cap;
   fleet_ = std::make_unique<RouterFleet>(std::move(strategy), config_.num_processors, fc);
@@ -147,7 +146,7 @@ ClusterMetrics DecoupledClusterSim::Run(std::span<const Query> queries) {
   m.router_ema_divergence = fleet_->CurrentEmaDivergence();
   m.sessions_migrated = fleet_->splitter().stats().migrations;
   m.sticky_evictions = fleet_->splitter().stats().evictions;
-  m.router_load_imbalance = RoutedLoadImbalance(m.queries_per_router_shard);
+  m.router_load_imbalance = MaxMinLoadRatio(m.queries_per_router_shard);
   // The replay model's numbers are authoritative here: the functional layer
   // executed inline, so the wall-clock overlap AddProcessorStats summed is
   // meaningless for the simulated engine.

@@ -6,29 +6,10 @@
 #define GROUTING_SRC_UTIL_STATS_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 namespace grouting {
-
-// Max/min ratio over per-entity load counts, the shared "imbalance" metric
-// definition (ClusterMetrics::router_load_imbalance over router shards,
-// ::storage_load_imbalance over storage servers): 1.0 = perfectly balanced,
-// the min clamped to 1 so an idle entity reads as the max count rather than
-// infinity. Fewer than two entities is vacuously balanced (0.0 for none).
-inline double MaxMinLoadRatio(std::span<const uint64_t> loads) {
-  if (loads.size() < 2) {
-    return loads.empty() ? 0.0 : 1.0;
-  }
-  uint64_t lo = loads[0];
-  uint64_t hi = loads[0];
-  for (const uint64_t v : loads) {
-    lo = lo < v ? lo : v;
-    hi = hi > v ? hi : v;
-  }
-  return static_cast<double>(hi) / static_cast<double>(lo > 0 ? lo : 1);
-}
 
 // Numerically stable single-pass mean / variance / min / max.
 class RunningStat {

@@ -88,7 +88,7 @@ TEST_P(AdaptiveSplitterModelCheck, AgreesWithReferenceUnderMigrationStorm) {
   ArrivalSplitter splitter(SplitterKind::kAdaptive, shards, capacity);
   ReferenceAssignment reference(shards, capacity);
 
-  RebalanceConfig cfg;
+  RebalancePolicy cfg;
   cfg.threshold = 1.05;  // aggressive: storm on nearly any spread
   cfg.migration_cap = 4;
   cfg.noise_sigmas = 0.0;

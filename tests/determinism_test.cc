@@ -74,7 +74,6 @@ TEST(DeterminismTest, SimMetricsAreBitIdenticalUnderOnlineMutations) {
   ExpectDeterministic([](RunOptions* opts) {
     opts->enable_mutations = true;
     opts->num_mutations = 96;
-    opts->mutation_gap_us = 20.0;
     opts->index_refresh_period_us = 100.0;
   });
 }

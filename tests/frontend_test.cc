@@ -113,7 +113,7 @@ TEST(SplitterTest, AdaptiveWithoutThresholdIsDecisionIdenticalToSticky) {
   // assign exactly like kSticky, even with rebalance rounds injected.
   ArrivalSplitter sticky(SplitterKind::kSticky, 4);
   ArrivalSplitter adaptive(SplitterKind::kAdaptive, 4);
-  RebalanceConfig off;  // threshold = 0 -> disabled
+  RebalancePolicy off;  // threshold = 0 -> disabled
   const std::vector<uint64_t> loads = {1000, 1, 1, 1};
   Query q;
   for (uint64_t i = 0; i < 400; ++i) {
@@ -124,7 +124,7 @@ TEST(SplitterTest, AdaptiveWithoutThresholdIsDecisionIdenticalToSticky) {
       EXPECT_TRUE(adaptive.Rebalance(loads, off).empty());
     }
   }
-  RebalanceConfig inf_threshold;
+  RebalancePolicy inf_threshold;
   inf_threshold.threshold = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(adaptive.Rebalance(loads, inf_threshold).empty());
   EXPECT_EQ(adaptive.stats().migrations, 0u);
@@ -154,7 +154,7 @@ TEST(SplitterTest, RebalanceMovesHotSessionsWithCapAndHysteresis) {
   ASSERT_EQ(s.SessionShard(2), 0u);
   ASSERT_EQ(s.SessionShard(4), 0u);
 
-  RebalanceConfig cfg;
+  RebalancePolicy cfg;
   cfg.threshold = 1.5;
   cfg.migration_cap = 1;
   const std::vector<uint64_t> loads = {90, 15};
@@ -194,7 +194,7 @@ TEST(SplitterTest, RebalanceNeverOvershootsWithOneMegaSession) {
   feed(2, 9);
   feed(1, 9);
   feed(3, 9);
-  RebalanceConfig cfg;
+  RebalancePolicy cfg;
   cfg.threshold = 1.5;
   cfg.migration_cap = 8;
   // Loads 110 vs 20: only session 2 (10 arrivals < gap = 90) may move.
@@ -484,7 +484,7 @@ TEST_F(FrontendFixture, AdaptiveConvergesUnderSkewWhereHashStaysImbalanced) {
     for (uint32_t s = 0; s < kShards; ++s) {
       trailing[s] -= warmup[s];
     }
-    return RoutedLoadImbalance(trailing);
+    return MaxMinLoadRatio(trailing);
   };
 
   const double hash_imb = trailing_imbalance(SplitterKind::kHash);
@@ -503,7 +503,6 @@ TEST_F(FrontendFixture, MigrationCarriesEmaStateToDestinationShard) {
   fc.splitter = SplitterKind::kAdaptive;
   fc.rebalance.threshold = 1.5;
   fc.rebalance.migration_cap = 1;
-  fc.rebalance.state_carry_weight = 0.5;
   RouterFleet fleet(env_->MakeStrategy(opts), opts.processors, fc);
 
   // Four sessions alternate shards; shard 0's two run hot.

@@ -69,8 +69,8 @@ class PlannerTest : public ::testing::Test {
 
   RepartitionConfig Config(double threshold, uint32_t cap = 4) {
     RepartitionConfig config;
-    config.threshold = threshold;
-    config.migration_cap = cap;
+    config.migration.threshold = threshold;
+    config.migration.migration_cap = cap;
     config.partitions_per_server = kPartitionsPerServer;
     return config;
   }
@@ -124,14 +124,6 @@ TEST_F(PlannerTest, DoesNotMutateTheMap) {
   const auto before = map_.OwnerSnapshot();
   PlanRepartition(map_, SkewedRates(), Config(1.2));
   EXPECT_EQ(map_.OwnerSnapshot(), before);
-}
-
-TEST(StorageLoadImbalanceTest, MaxOverMinClamped) {
-  const std::vector<uint64_t> loads = {10, 40, 20, 20};
-  EXPECT_DOUBLE_EQ(StorageLoadImbalance(loads), 4.0);
-  const std::vector<uint64_t> zero = {0, 5};
-  EXPECT_DOUBLE_EQ(StorageLoadImbalance(zero), 5.0);
-  EXPECT_DOUBLE_EQ(StorageLoadImbalance(std::vector<uint64_t>{7}), 1.0);
 }
 
 TEST(StorageTierRepartitionTest, EnableIsPlacementIdenticalUntilAMigration) {

@@ -185,8 +185,8 @@ TEST_F(ReplicationPlannerTest, MigrationPlannerSkipsReplicatedVictims) {
   map_.AddReplica(0, 1);
 
   RepartitionConfig config;
-  config.threshold = 1.2;
-  config.migration_cap = 8;
+  config.migration.threshold = 1.2;
+  config.migration.migration_cap = 8;
   config.partitions_per_server = kPartitionsPerServer;
   const auto plan = PlanRepartition(map_, rates, config);
   ASSERT_FALSE(plan.empty());

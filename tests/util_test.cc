@@ -1,5 +1,5 @@
-// Unit tests for src/util: RNG, MurmurHash3, statistics, table formatting,
-// byte-size parsing, and the MPMC queue.
+// Unit tests for src/util: RNG, MurmurHash3, statistics, the load-balance
+// planner, table formatting, byte-size parsing, and the MPMC queue.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/util/check.h"
+#include "src/util/load_balance.h"
 #include "src/util/mpmc_queue.h"
 #include "src/util/murmur3.h"
 #include "src/util/rng.h"
@@ -334,6 +335,70 @@ TEST(LatencyHistogramTest, EdgeCases) {
   // Quantiles are clamped to the observed range.
   EXPECT_GE(h.Percentile(0.0), 0.0);
   EXPECT_LE(h.Percentile(100.0), 5.0 + 1e-12);
+}
+
+// ------------------------------------------------------- Load balance ----
+
+TEST(MaxMinLoadRatioTest, MaxOverMinClamped) {
+  const std::vector<uint64_t> loads = {10, 40, 20, 20};
+  EXPECT_DOUBLE_EQ(MaxMinLoadRatio(loads), 4.0);
+  const std::vector<uint64_t> zero = {0, 5};
+  EXPECT_DOUBLE_EQ(MaxMinLoadRatio(zero), 5.0);
+  EXPECT_DOUBLE_EQ(MaxMinLoadRatio(std::vector<uint64_t>{7}), 1.0);
+}
+
+// The callers' own suites (SplitterTest.Rebalance*, PlannerTest.*) pin the
+// trigger, hysteresis, cap and noise floor; these cases pin what neither
+// caller can observe through its own items.
+RebalancePolicy TestPolicy(double threshold, uint32_t cap) {
+  RebalancePolicy policy;
+  policy.threshold = threshold;
+  policy.migration_cap = cap;
+  return policy;
+}
+
+TEST(PlanLoadMovesTest, EqualSpreadTiesGoToTheLowestIdInAnyItemOrder) {
+  // Gap 40: rate 10 and rate 30 both leave a spread of 20, so ids 3, 5 and
+  // 7 tie. The splitter lists sessions in hash-table order, so the winner
+  // must not depend on the list order.
+  std::vector<MovableLoad> items = {{3, 0, 30.0}, {5, 0, 10.0}, {7, 0, 10.0}};
+  do {
+    std::vector<double> loads = {40.0, 0.0};
+    std::vector<MovableLoad> order = items;
+    const std::vector<LoadMove> moves = PlanLoadMoves(loads, order, TestPolicy(1.5, 1));
+    ASSERT_EQ(moves.size(), 1u);
+    EXPECT_EQ(moves[0].id, 3u);
+    EXPECT_EQ(moves[0].from, 0u);
+    EXPECT_EQ(moves[0].to, 1u);
+  } while (std::next_permutation(items.begin(), items.end(),
+                                 [](const MovableLoad& a, const MovableLoad& b) {
+                                   return a.id < b.id;
+                                 }));
+}
+
+TEST(PlanLoadMovesTest, ItemsAtOrAboveTheGapNeverMove) {
+  // Moving an item as hot as the whole gap would only relocate the hotspot.
+  std::vector<double> loads = {50.0, 0.0};
+  std::vector<MovableLoad> items = {{1, 0, 50.0}, {2, 0, 80.0}};
+  EXPECT_TRUE(PlanLoadMoves(loads, items, TestPolicy(1.2, 8)).empty());
+  EXPECT_EQ(loads, (std::vector<double>{50.0, 0.0}));
+  EXPECT_EQ(items[0].owner, 0u);
+  EXPECT_EQ(items[1].owner, 0u);
+}
+
+TEST(PlanLoadMovesTest, MovesUpdateTheCallersLoadsInPlace) {
+  std::vector<double> loads = {60.0, 0.0};
+  std::vector<MovableLoad> items = {{0, 0, 20.0}, {1, 0, 20.0}, {2, 0, 20.0}};
+  const RebalancePolicy policy = TestPolicy(1.2, 8);
+  const std::vector<LoadMove> moves = PlanLoadMoves(loads, items, policy);
+  ASSERT_EQ(moves.size(), 1u);  // then the gap (20) is no longer above any rate
+  EXPECT_EQ(moves[0].id, 0u);
+  EXPECT_EQ(loads, (std::vector<double>{40.0, 20.0}));
+  EXPECT_EQ(items[0].owner, 1u);
+  // The next round starts from the corrected loads: with the stale {60, 0}
+  // it would move item 1 as well.
+  EXPECT_TRUE(PlanLoadMoves(loads, items, policy).empty());
+  EXPECT_EQ(loads, (std::vector<double>{40.0, 20.0}));
 }
 
 // -------------------------------------------------------------- Table ----

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Docs gate: markdown links resolve, and the shared config/metrics structs
-stay documented.
+"""Docs gate: markdown links resolve, the shared config/metrics structs
+stay documented, and the README CLI table matches the CLI.
 
-Two checks, both designed to fail on UNDOCUMENTED ADDITIONS rather than to
+The checks are designed to fail on UNDOCUMENTED ADDITIONS rather than to
 police prose:
 
 1. Every relative markdown link in README.md, docs/*.md and
@@ -20,13 +20,18 @@ police prose:
    a vector, a `ClusterMetricFields()` row (src/core/cluster_engine.cc); every
    table row, derived keys included, has a docs/METRICS.md row too.
 
-Usage: tools/check_docs.py [--root <repo root>]
+4. With --cli, the README "CLI reference" table and `grouting_cli --help`
+   list the same flags with the same defaults (a README default of `off`
+   means the flag has none). `--help` itself needs no row.
+
+Usage: tools/check_docs.py [--root <repo root>] [--cli <grouting_cli binary>]
 """
 
 import argparse
 import glob
 import os
 import re
+import subprocess
 import sys
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -38,6 +43,11 @@ METRICS_DOC = os.path.join("docs", "METRICS.md")
 # ClusterMetricFields() rows: GROUTING_METRIC(field, ...) or {"derived_key", ...
 TABLE_ROW_RE = re.compile(r'GROUTING_METRIC\((\w+),|^\s*\{"(\w+)",', re.M)
 DOC_ROW_RE = re.compile(r"^\| `(\w+)` \|", re.M)
+
+# README CLI rows: | `--flag` | `default` or off | meaning |
+README_FLAG_RE = re.compile(r"^\| `--([\w-]+)` \| (?:`([^`]*)`|(off)) \|", re.M)
+# --help lines: two-space indent, --flag or --flag=default, then the help text.
+HELP_FLAG_RE = re.compile(r"^  --([\w-]+)(?:=(\S+))?\s", re.M)
 
 # A field declaration: ends in ';', is not a method/using/friend line.
 FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s*&\]\[]*\s+(\w+)\s*(=[^;]*|\{[^;]*\})?;")
@@ -158,15 +168,46 @@ def check_metric_table(root, metric_fields):
     return failures
 
 
+def check_cli_table(root, cli):
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    start = readme.find("## CLI reference")
+    end = readme.find("\n## ", start + 1) if start >= 0 else -1
+    section = readme[start:end if end >= 0 else len(readme)] if start >= 0 else ""
+    documented = {flag: default for flag, default, _ in README_FLAG_RE.findall(section)}
+    if not documented:
+        return ["README.md: CLI reference table not found"]
+    run = subprocess.run([cli, "--help"], capture_output=True, text=True, check=False)
+    if run.returncode != 0:
+        return [f"{cli} --help exited {run.returncode}: {run.stderr.strip()}"]
+    actual = dict(HELP_FLAG_RE.findall(run.stdout))
+    actual.pop("help", None)
+    failures = []
+    for flag in sorted(actual.keys() - documented.keys()):
+        failures.append(f"grouting_cli --{flag} has no row in the README CLI table")
+    for flag in sorted(documented.keys() - actual.keys()):
+        failures.append(f"README CLI row --{flag} is not a grouting_cli flag")
+    for flag in sorted(actual.keys() & documented.keys()):
+        if actual[flag] != documented[flag]:
+            failures.append(
+                f"--{flag}: README default '{documented[flag] or 'off'}', "
+                f"grouting_cli --help default '{actual[flag] or 'off'}'")
+    print(f"cli table check: {len(actual)} flags, {len(documented)} README rows")
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
+    ap.add_argument("--cli", help="grouting_cli binary to hold the README table to")
     args = ap.parse_args()
 
     metric_fields = []
     failures = (check_links(args.root) + check_field_comments(args.root, metric_fields)
                 + check_metric_table(args.root, metric_fields))
+    if args.cli:
+        failures += check_cli_table(args.root, args.cli)
     if failures:
         print("\nDOCS GATE FAILED:")
         for f in failures:
