@@ -156,7 +156,6 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
                      "max_inflight_batches must be >= 1");
   GROUTING_CHECK(config_.num_tenants > 0);
   GROUTING_CHECK(config_.tenant_quota_burst >= 1.0);
-  repartition_config_ = config_.MakeRepartitionConfig();
   storage_ = std::make_unique<StorageTier>(config_.num_storage_servers);
   if (config_.num_tenants > 1) {
     GROUTING_CHECK_MSG(placement == nullptr,
@@ -174,14 +173,14 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
     // keep it attached to the entry.
     storage_->set_retain_wire(true);
   }
-  if (repartition_config_.active()) {
+  if (config_.repartition.active()) {
     GROUTING_CHECK_MSG(placement == nullptr,
                        "storage repartitioning/replication is incompatible with "
                        "an explicit storage placement");
-    storage_->EnableRepartitioning(repartition_config_.partitions_per_server);
-    if (repartition_config_.replication_enabled()) {
+    storage_->EnableRepartitioning(config_.repartition.partitions_per_server);
+    if (config_.repartition.replication_enabled()) {
       GROUTING_CHECK_MSG(
-          repartition_config_.max_replicas_per_partition <= PartitionMap::kMaxReplicas,
+          config_.repartition.max_replicas_per_partition <= PartitionMap::kMaxReplicas,
           "max_replicas_per_partition exceeds the map's packing limit");
       storage_->EnableReplication();
     }
@@ -281,10 +280,10 @@ std::vector<StorageTier::MigrationResult> ClusterEngine::RepartitionRound() {
   if (monitor == nullptr) {
     return executed;
   }
-  monitor->RollWindow(repartition_config_.migration.load_decay);
-  if (repartition_config_.replication_enabled()) {
+  monitor->RollWindow(config_.repartition.migration.load_decay);
+  if (config_.repartition.replication_enabled()) {
     const ReplicationPlan plan = PlanReplication(
-        *storage_->partition_map(), monitor->rates(), repartition_config_);
+        *storage_->partition_map(), monitor->rates(), config_.repartition);
     for (const ReplicaChange& d : plan.demote) {
       executed.push_back(storage_->RemoveReplica(d.partition, d.server));
       ++replica_demotions_;
@@ -294,11 +293,11 @@ std::vector<StorageTier::MigrationResult> ClusterEngine::RepartitionRound() {
       ++replica_promotions_;
     }
   }
-  if (repartition_config_.enabled()) {
+  if (config_.repartition.enabled()) {
     // Planned after the replica changes landed, so replicated partitions
     // are excluded as migration victims against the freshest replica sets.
     const std::vector<PartitionMigration> plan = PlanRepartition(
-        *storage_->partition_map(), monitor->rates(), repartition_config_);
+        *storage_->partition_map(), monitor->rates(), config_.repartition);
     for (const PartitionMigration& mig : plan) {
       executed.push_back(storage_->MigratePartition(mig.partition, mig.to));
       ++partitions_migrated_;

@@ -90,53 +90,33 @@ struct ClusterConfig {
   uint32_t num_router_shards = 1;
   // How arrivals are split across shards.
   SplitterKind router_splitter = SplitterKind::kRoundRobin;
-  // Period of the load/EMA gossip between shards (virtual µs on the
-  // simulated engine, wall-clock µs on the threaded one). 0 disables gossip.
+  // Period of the control tick (virtual µs on the simulated engine,
+  // wall-clock µs on the threaded one). Each tick runs, in this order, the
+  // router gossip round (load/EMA blend, then adaptive re-splitting), a
+  // storage repartition round and an index-maintenance pass; see
+  // ClusterEngine::control_tick_enabled() for when it runs. 0 disables it.
   double gossip_period_us = 200.0;
   // Adaptive arrival re-splitting (router_splitter == kAdaptive): at each
-  // gossip round, migrate hot sessions from the most- to the least-loaded
-  // shard once the max/min routed-load ratio exceeds this threshold. <= 1
-  // (or infinity) disables migration — kAdaptive then behaves exactly like
-  // kSticky. Requires gossip_period_us > 0 (rebalance rides the gossip
-  // round).
-  double router_rebalance_threshold = 0.0;
-  // At most this many sessions migrate per rebalance round (anti-thrash cap,
-  // paired with a 0.9-of-threshold hysteresis water mark).
-  uint32_t router_migration_cap = 8;
+  // control tick, PlanLoadMoves migrates hot sessions from the most- to the
+  // least-loaded shard once the max/min routed-load ratio exceeds
+  // threshold, at most migration_cap per round. A threshold <= 1 (or
+  // infinity) disables migration — kAdaptive then behaves exactly like
+  // kSticky.
+  RebalancePolicy router_rebalance;
   // Bound on the sticky/adaptive splitter's session table; the oldest
   // session is evicted FIFO beyond it (ClusterMetrics::sticky_evictions).
   uint32_t router_session_capacity = 1u << 16;
 
   // --- Storage-tier adaptive repartitioning (src/partition/repartition.h) ---
-  // At each gossip-aligned round, migrate hot partitions from the most- to
-  // the least-loaded storage server once the max/min decayed access-rate
-  // ratio exceeds this threshold. <= 1 (or infinity) disables repartitioning
-  // — the storage tier is then byte-identical to the static hash-placement
-  // design. Requires gossip_period_us > 0 (rounds ride the gossip tick) and
-  // is incompatible with an explicit storage placement.
-  double repartition_threshold = 0.0;
-  // At most this many partitions migrate per repartition round (anti-thrash
-  // cap, paired with the controller's hysteresis water mark + noise floor).
-  uint32_t repartition_cap = 4;
-  // Virtual partitions per storage server: the migration granularity. The
-  // initial partition->server layout reproduces hash placement exactly.
-  uint32_t partitions_per_server = 8;
-
-  // --- Hot-partition replication (rides the repartition planner rounds) ---
-  // Promote up to this many of the hottest partitions to one extra replica
-  // per round; reads then fan across {primary + replicas} via
-  // power-of-two-choices on server load. 0 disables replication — the read
-  // path is then bit-identical to the migration-only tier. Shares the
-  // repartition machinery, so it also needs gossip_period_us > 0 and no
-  // explicit storage placement (partitions_per_server applies too).
-  uint32_t replication_top_k = 0;
-  // Demote one replica per round from any replicated partition whose
-  // decayed access rate fell to or below this fraction of the average
-  // per-server load (cold replicas are reclaimed).
-  double replica_demote_threshold = 0.1;
-  // Extra copies beyond the primary a partition may hold (capped at
-  // PartitionMap::kMaxReplicas = 3).
-  uint32_t max_replicas_per_partition = 2;
+  // At each control tick, migrate hot partitions from the most- to the
+  // least-loaded storage server (repartition.migration) and promote /
+  // demote hot-partition replicas (repartition.replication_top_k > 0);
+  // reads then fan across {primary + replicas} via power-of-two-choices on
+  // server load. Inactive by default — the storage tier is then
+  // byte-identical to the static hash-placement design, and
+  // repartition.active() is the one test of whether rounds run. Incompatible
+  // with an explicit storage placement.
+  RepartitionConfig repartition;
 
   // --- Observability (src/obs/) ---
   // Per-query lifecycle tracing: record every Nth query's spans (arrival,
@@ -196,22 +176,6 @@ struct ClusterConfig {
   // pass, nodes dirtied by mutations since then are drained to the
   // registered index maintainer. 0 = refresh at every gossip tick.
   double index_refresh_period_us = 0.0;
-
-  // The storage-rebalancer policy the knobs above lower to. enabled() /
-  // replication_enabled() / active() on the result are the single source of
-  // truth for whether migration and/or replication run — the engine and
-  // every display/consumer derive it from here, never by re-testing the
-  // raw knobs.
-  RepartitionConfig MakeRepartitionConfig() const {
-    RepartitionConfig repartition;
-    repartition.migration.threshold = repartition_threshold;
-    repartition.migration.migration_cap = repartition_cap;
-    repartition.partitions_per_server = partitions_per_server;
-    repartition.replication_top_k = replication_top_k;
-    repartition.replica_demote_threshold = replica_demote_threshold;
-    repartition.max_replicas_per_partition = max_replicas_per_partition;
-    return repartition;
-  }
 };
 
 // One tenant's slice of a run (multi-tenant federation). Response
@@ -463,6 +427,16 @@ class ClusterEngine {
   // dirty nodes are still drained and counted as index_refreshes.
   void set_index_maintainer(IndexMaintainer maintainer);
 
+  // The one rule for whether Run() drives the periodic control tick (the
+  // simulator's GossipTick chain, the threaded gossip thread): a positive
+  // gossip_period_us and something to control — router shards to gossip
+  // between, storage repartitioning, or index maintenance after mutations.
+  bool control_tick_enabled() const {
+    return config_.gossip_period_us > 0.0 &&
+           (config_.num_router_shards > 1 || config_.repartition.active() ||
+            config_.enable_mutations);
+  }
+
  protected:
   // Shared cluster assembly: validates the config, loads the graph into a
   // fresh storage tier (hash placement unless `placement` is given; the
@@ -514,15 +488,12 @@ class ClusterEngine {
                          std::span<const uint64_t> tenant_queries,
                          const AdmissionPlan& plan) const;
 
-  // Whether the config enables storage-tier repartition rounds at all —
-  // hot-partition migration, replication, or both.
-  bool repartition_enabled() const { return repartition_config_.active(); }
-
-  // One storage-tier repartition round, shared by both engines: rolls the
-  // access monitor's window into decayed rates, then (replication on)
-  // executes planned replica demotions and promotions and (migration on)
-  // plans hot-partition moves (threshold + hysteresis + cap + noise floor)
-  // and executes each against the tier (copy -> flip -> drain -> delete).
+  // One storage-tier repartition round, shared by both engines (empty when
+  // config.repartition is inactive): rolls the access monitor's window into
+  // decayed rates, then (replication on) executes planned replica
+  // demotions and promotions and (migration on) plans hot-partition moves
+  // (threshold + hysteresis + cap + noise floor) and executes each against
+  // the tier (copy -> flip -> drain -> delete).
   // Replica changes execute BEFORE the migration plan is computed, so
   // PlanRepartition sees the fresh replica sets and never picks a
   // just-promoted partition as a migration victim. Returns what
@@ -568,8 +539,6 @@ class ClusterEngine {
   // Built in the base ctor when config.trace_sample_every_n > 0; engines
   // record lifecycle spans into its per-track rings.
   std::unique_ptr<TraceRecorder> tracer_;
-  // Lowered from config_: the storage rebalancer's controller policy.
-  RepartitionConfig repartition_config_;
   // Partitions moved / replica copies created / replica copies torn down so
   // far (written only by RepartitionRound's caller).
   uint64_t partitions_migrated_ = 0;

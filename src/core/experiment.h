@@ -113,12 +113,11 @@ struct RunOptions {
   double tenant_quota_burst = 32.0;
   bool open_loop = false;
   // Online graph mutations (src/workload/mutations.h): enable the storage
-  // tier's versioned write path, and — when num_mutations > 0 — generate a
-  // deterministic edge-mutation schedule (seed = env seed ^ 0x66) spaced
-  // MutationScheduleConfig::gap_us apart and install it on the engine
-  // before Run().
+  // tier's versioned write path. The mutations themselves arrive in the
+  // workload (GenerateMixedOpenLoopWorkload) or through
+  // ClusterEngine::set_mutation_schedule on an engine built from
+  // MakeClusterConfig.
   bool enable_mutations = false;
-  size_t num_mutations = 0;
   // Minimum virtual/wall time between index-maintenance passes on the
   // gossip cadence; 0 = refresh on every gossip tick.
   double index_refresh_period_us = 0.0;

@@ -10,6 +10,22 @@
 
 namespace grouting {
 
+std::vector<std::unique_ptr<RoutingStrategy>> CloneStrategyPerShard(
+    std::unique_ptr<RoutingStrategy> strategy, uint32_t num_shards) {
+  GROUTING_CHECK(strategy != nullptr);
+  GROUTING_CHECK(num_shards > 0);
+  std::vector<std::unique_ptr<RoutingStrategy>> strategies;
+  strategies.reserve(num_shards);
+  for (uint32_t s = 1; s < num_shards; ++s) {
+    auto clone = strategy->Clone();
+    GROUTING_CHECK_MSG(clone != nullptr,
+                       "num_router_shards > 1 requires a Clone()-able strategy");
+    strategies.push_back(std::move(clone));
+  }
+  strategies.insert(strategies.begin(), std::move(strategy));
+  return strategies;
+}
+
 double CrossShardStateDivergence(std::span<const RoutingStrategy* const> shards) {
   if (shards.size() < 2) {
     return 0.0;
@@ -74,8 +90,23 @@ void GossipBlendStrategies(std::span<RoutingStrategy* const> shards) {
   }
 }
 
-void ApplyMigrationCarry(std::span<RoutingStrategy* const> shards,
-                         std::span<const SessionMigration> migrations) {
+void GossipBlendRound(std::span<RoutingStrategy* const> shards, GossipStats* stats) {
+  if (shards.size() < 2) {
+    return;
+  }
+  const std::vector<const RoutingStrategy*> views(shards.begin(), shards.end());
+  stats->last_divergence_before = CrossShardStateDivergence(views);
+  GossipBlendStrategies(shards);
+  stats->last_divergence_after = CrossShardStateDivergence(views);
+  stats->rounds += 1;
+}
+
+size_t GossipRebalanceRound(ArrivalSplitter* splitter,
+                            std::span<const uint64_t> routed_per_shard,
+                            const RebalancePolicy& policy,
+                            std::span<RoutingStrategy* const> shards) {
+  const std::vector<SessionMigration> migrations =
+      splitter->Rebalance(routed_per_shard, policy);
   std::vector<std::pair<uint32_t, uint32_t>> pairs;  // tiny: linear dedupe
   for (const SessionMigration& m : migrations) {
     const auto pair = std::make_pair(m.from, m.to);
@@ -86,6 +117,7 @@ void ApplyMigrationCarry(std::span<RoutingStrategy* const> shards,
   for (const auto& [from, to] : pairs) {
     shards[to]->MergeRemoteState(*shards[from], kMigrationCarryWeight);
   }
+  return migrations.size();
 }
 
 }  // namespace grouting

@@ -16,15 +16,21 @@
 //      — the 1/num_shards scaling keeps the blend a contraction for any
 //      weight in (0, 1], so divergence shrinks instead of oscillating.
 //
-// The engines drive the period: the simulated engine schedules gossip as
-// discrete events in virtual time, the threaded runtime runs a wall-clock
-// gossip tick under per-shard mutexes.
+// The engines drive the period (ClusterConfig::gossip_period_us, one tick
+// rule in ClusterEngine::control_tick_enabled): the simulated engine's
+// RouterFleet::GossipRound runs at virtual-time events, the threaded
+// runtime's gossip thread at a wall-clock tick with every shard mutex held.
+// Both run the router half of a tick from the helpers below, in one order:
+// GossipBlendRound, then GossipRebalanceRound.
 
 #ifndef GROUTING_SRC_FRONTEND_GOSSIP_H_
 #define GROUTING_SRC_FRONTEND_GOSSIP_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "src/frontend/splitter.h"
 #include "src/routing/strategy.h"
@@ -39,18 +45,18 @@ inline constexpr double kGossipMergeWeight = 0.5;
 // does not restart cold.
 inline constexpr double kMigrationCarryWeight = 0.5;
 
-struct GossipConfig {
-  // Time between gossip rounds (virtual µs on the simulated engine,
-  // wall-clock µs on the threaded one). 0 disables gossip.
-  double period_us = 200.0;
-};
-
 struct GossipStats {
   uint64_t rounds = 0;
   // Cross-shard state divergence around the most recent round.
   double last_divergence_before = 0.0;
   double last_divergence_after = 0.0;
 };
+
+// One strategy per router shard: shard 0 keeps `strategy`, shards
+// 1..num_shards-1 get strategy->Clone() (checked: sharding a non-cloneable
+// strategy is a config error).
+std::vector<std::unique_ptr<RoutingStrategy>> CloneStrategyPerShard(
+    std::unique_ptr<RoutingStrategy> strategy, uint32_t num_shards);
 
 // Mean pairwise L2 distance between the shards' GossipState vectors.
 // 0.0 for stateless strategies or fewer than two shards.
@@ -62,15 +68,23 @@ double CrossShardStateDivergence(std::span<const RoutingStrategy* const> shards)
 // No-op when every shard's GossipState is empty (stateless strategies).
 void GossipBlendStrategies(std::span<RoutingStrategy* const> shards);
 
-// Strategy-state carry for a rebalance round's session migrations: the
-// destination shard merges the source shard's state with weight
-// kMigrationCarryWeight ONCE per unique (from, to) pair — merging per
-// migrated session would compound the blend and a storm of same-pair
-// migrations would wipe the destination's own adaptive state. Shared by
-// RouterFleet::RebalanceRound and the threaded engine's gossip tick so the
-// two engines' carry semantics cannot drift.
-void ApplyMigrationCarry(std::span<RoutingStrategy* const> shards,
-                         std::span<const SessionMigration> migrations);
+// The blend step of a gossip round: records the divergence before and
+// after GossipBlendStrategies and counts the round. No-op (no round
+// counted) with fewer than two shards.
+void GossipBlendRound(std::span<RoutingStrategy* const> shards, GossipStats* stats);
+
+// The rebalance step of a gossip round: splitter->Rebalance over the
+// shards' cumulative routed counts (which returns nothing unless the
+// splitter is adaptive, sharded and `policy` enabled), then the
+// strategy-state carry for the moved sessions: the destination shard merges
+// the source shard's state with weight kMigrationCarryWeight ONCE per
+// unique (from, to) pair — merging per migrated session would compound the
+// blend, and a storm of same-pair migrations would wipe the destination's
+// own adaptive state. Returns the number of sessions migrated.
+size_t GossipRebalanceRound(ArrivalSplitter* splitter,
+                            std::span<const uint64_t> routed_per_shard,
+                            const RebalancePolicy& policy,
+                            std::span<RoutingStrategy* const> shards);
 
 }  // namespace grouting
 

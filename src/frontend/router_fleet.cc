@@ -10,21 +10,10 @@ RouterFleet::RouterFleet(std::unique_ptr<RoutingStrategy> strategy,
     : config_(config),
       num_processors_(num_processors),
       splitter_(config.splitter, config.num_shards, config.session_capacity) {
-  GROUTING_CHECK(strategy != nullptr);
-  GROUTING_CHECK(config_.num_shards > 0);
-  std::vector<std::unique_ptr<RoutingStrategy>> strategies;
-  strategies.reserve(config_.num_shards);
-  for (uint32_t s = 1; s < config_.num_shards; ++s) {
-    auto clone = strategy->Clone();
-    GROUTING_CHECK_MSG(clone != nullptr,
-                       "num_router_shards > 1 requires a Clone()-able strategy");
-    strategies.push_back(std::move(clone));
-  }
-  strategies.insert(strategies.begin(), std::move(strategy));
-  shards_.reserve(config_.num_shards);
-  for (auto& s : strategies) {
+  for (auto& s : CloneStrategyPerShard(std::move(strategy), config_.num_shards)) {
     shards_.push_back(
         std::make_unique<Router>(std::move(s), num_processors_, config_.router));
+    strategies_.push_back(&shards_.back()->strategy());
   }
   remote_scratch_.assign(num_processors_, 0);
   order_scratch_.resize(config_.num_shards);
@@ -78,8 +67,6 @@ void RouterFleet::GossipRound() {
   if (num_shards() < 2) {
     return;
   }
-  gossip_stats_.last_divergence_before = CurrentEmaDivergence();
-
   // Remote-load exchange: every shard learns the sum of its siblings'
   // per-processor queue lengths as of this round.
   for (uint32_t i = 0; i < num_shards(); ++i) {
@@ -95,40 +82,15 @@ void RouterFleet::GossipRound() {
     }
     shards_[i]->SetRemoteLoad(remote_scratch_);
   }
-
-  // EMA (adaptive state) blend.
-  std::vector<RoutingStrategy*> strategies;
-  strategies.reserve(num_shards());
-  for (auto& shard : shards_) {
-    strategies.push_back(&shard->strategy());
-  }
-  GossipBlendStrategies(strategies);
-
-  gossip_stats_.last_divergence_after = CurrentEmaDivergence();
-  gossip_stats_.rounds += 1;
-
+  GossipBlendRound(strategies_, &gossip_stats_);
   // Adaptive re-splitting rides the same round: the routed-count snapshot it
   // consumes is exactly what this round just exchanged.
   RebalanceRound();
 }
 
 size_t RouterFleet::RebalanceRound() {
-  if (num_shards() < 2 || splitter_.kind() != SplitterKind::kAdaptive ||
-      !config_.rebalance.enabled()) {
-    return 0;
-  }
-  const std::vector<uint64_t> routed = RoutedPerShard();
-  const auto migrations = splitter_.Rebalance(routed, config_.rebalance);
-  // Migration carries strategy state: the destination shard pulls in the
-  // source shard's view (EMA for Embed; no-op for stateless strategies) so
-  // the moved session's history is not lost to a cold strategy.
-  std::vector<RoutingStrategy*> strategies;
-  strategies.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    strategies.push_back(&shard->strategy());
-  }
-  ApplyMigrationCarry(strategies, migrations);
-  return migrations.size();
+  return GossipRebalanceRound(&splitter_, RoutedPerShard(), config_.rebalance,
+                             strategies_);
 }
 
 std::vector<uint64_t> RouterFleet::RoutedPerShard() const {
@@ -140,17 +102,8 @@ std::vector<uint64_t> RouterFleet::RoutedPerShard() const {
 }
 
 double RouterFleet::CurrentEmaDivergence() const {
-  const auto views = StrategyViews();
+  const std::vector<const RoutingStrategy*> views(strategies_.begin(), strategies_.end());
   return CrossShardStateDivergence(views);
-}
-
-std::vector<const RoutingStrategy*> RouterFleet::StrategyViews() const {
-  std::vector<const RoutingStrategy*> views;
-  views.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    views.push_back(&shard->strategy());
-  }
-  return views;
 }
 
 RouterStats RouterFleet::AggregateRouterStats() const {

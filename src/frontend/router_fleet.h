@@ -41,25 +41,20 @@ struct FleetConfig {
   SplitterKind splitter = SplitterKind::kRoundRobin;
   uint32_t session_capacity = ArrivalSplitter::kDefaultSessionCapacity;
   RouterConfig router;  // per-shard router config (stealing)
-  GossipConfig gossip;
   // Adaptive re-splitting of the arrival stream (splitter == kAdaptive):
   // each gossip round may migrate hot sessions off the most-loaded shard.
   RebalancePolicy rebalance;
 };
 
-
 class RouterFleet {
  public:
-  // Shard 0 keeps `strategy`; shards 1..N-1 get strategy->Clone() (checked:
-  // sharding a non-cloneable strategy is a config error).
+  // Shard 0 keeps `strategy`; shards 1..N-1 get strategy->Clone()
+  // (CloneStrategyPerShard).
   RouterFleet(std::unique_ptr<RoutingStrategy> strategy, uint32_t num_processors,
               FleetConfig config);
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   uint32_t num_processors() const { return num_processors_; }
-  bool gossip_enabled() const {
-    return num_shards() > 1 && config_.gossip.period_us > 0.0;
-  }
   const FleetConfig& config() const { return config_; }
 
   struct RoutedArrival {
@@ -79,16 +74,17 @@ class RouterFleet {
   size_t pending() const;
 
   // One load/EMA gossip round (see src/frontend/gossip.h): refreshes every
-  // shard's remote-load view, blends the strategies' adaptive state, and —
-  // with the adaptive splitter — runs a RebalanceRound() off the same load
-  // snapshot.
+  // shard's remote-load view, then runs the blend step (GossipBlendRound)
+  // and the rebalance step (RebalanceRound) off the same load snapshot.
+  // No-op with a single shard.
   void GossipRound();
 
-  // Adaptive arrival re-splitting: feeds the shards' routed counts to the
-  // splitter and migrates hot sessions per FleetConfig::rebalance. A moved
-  // session carries strategy state: the destination shard merges the source
-  // shard's gossip state (ApplyMigrationCarry) so EmbedStrategy's EMA does
-  // not restart cold. Returns the number of sessions migrated this round.
+  // Adaptive arrival re-splitting (GossipRebalanceRound): feeds the shards'
+  // routed counts to the splitter and migrates hot sessions per
+  // FleetConfig::rebalance. A moved session carries strategy state: the
+  // destination shard merges the source shard's gossip state so
+  // EmbedStrategy's EMA does not restart cold. Returns the number of
+  // sessions migrated this round.
   size_t RebalanceRound();
 
   // Mean pairwise L2 distance between shard strategies' gossip state, right
@@ -112,12 +108,11 @@ class RouterFleet {
   RouterStats AggregateRouterStats() const;
 
  private:
-  std::vector<const RoutingStrategy*> StrategyViews() const;
-
   FleetConfig config_;
   uint32_t num_processors_;
   ArrivalSplitter splitter_;
   std::vector<std::unique_ptr<Router>> shards_;
+  std::vector<RoutingStrategy*> strategies_;  // shards_[s]->strategy()
   GossipStats gossip_stats_;
   std::vector<uint32_t> remote_scratch_;
   std::vector<uint32_t> order_scratch_;

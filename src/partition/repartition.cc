@@ -218,8 +218,8 @@ ReplicationPlan PlanReplication(const PartitionMap& map,
   // everywhere, paying copy stalls for flatness nobody measures.
   const double imbalance_gate = std::max(config.migration.threshold, 1.0);
   const double avg_partition = total / static_cast<double>(num_partitions);
-  const double hot_floor = std::max(config.migration.noise_sigmas,
-                                    config.replica_hot_fraction * avg_partition);
+  const double hot_floor =
+      std::max(config.migration.noise_sigmas, kReplicaHotFraction * avg_partition);
   std::vector<uint32_t> order(num_partitions);
   for (uint32_t q = 0; q < num_partitions; ++q) {
     order[q] = q;

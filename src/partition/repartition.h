@@ -57,8 +57,18 @@
 
 namespace grouting {
 
-// Policy for the storage-tier rebalancer. The migration threshold and cap
-// are surfaced as ClusterConfig / CLI knobs; the rest are tuned defaults.
+// Promotion floor: only partitions whose rate is at least this multiple of
+// the average per-PARTITION rate qualify as "hot". Partition-relative (not
+// server-relative) so the floor separates skew from uniform traffic at any
+// partitions_per_server: a uniform workload sits at 1.0x by construction.
+// The gap between this and replica_demote_threshold is the
+// promotion/demotion hysteresis band.
+inline constexpr double kReplicaHotFraction = 2.0;
+
+// Policy for the storage-tier rebalancer, held as ClusterConfig::repartition.
+// The migration threshold and cap, the partition granularity and the
+// replication knobs are CLI flags; load_decay and noise_sigmas are tuned
+// defaults.
 struct RepartitionConfig {
   // The migration controller (PlanLoadMoves over servers and partitions).
   // A threshold <= 1 (or infinity) disables migration — the tier then
@@ -80,13 +90,6 @@ struct RepartitionConfig {
   // Extra copies beyond the primary a partition may hold, capped at
   // PartitionMap::kMaxReplicas.
   uint32_t max_replicas_per_partition = 2;
-  // Promotion floor: only partitions whose rate is at least this multiple
-  // of the average per-PARTITION rate qualify as "hot". Partition-relative
-  // (not server-relative) so the floor separates skew from uniform traffic
-  // at any partitions_per_server: a uniform workload sits at 1.0x by
-  // construction. The gap between this and replica_demote_threshold is the
-  // promotion/demotion hysteresis band.
-  double replica_hot_fraction = 2.0;
 
   bool enabled() const { return migration.enabled() && partitions_per_server > 0; }
   bool replication_enabled() const {
@@ -257,7 +260,7 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
 // The replication controller: demote one replica from every replicated
 // partition that has gone cold (rate <= replica_demote_threshold x average
 // per-server load), then promote the top replication_top_k hottest
-// partitions (rate >= replica_hot_fraction x the average per-partition
+// partitions (rate >= kReplicaHotFraction x the average per-partition
 // rate, above the noise floor) to one extra replica each on the
 // least-loaded server not already
 // holding them. Pure, like PlanRepartition: the map is not mutated; server

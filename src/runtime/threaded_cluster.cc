@@ -57,23 +57,11 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
     : ClusterEngine(graph, config, placement),
       splitter_(config.router_splitter, config.num_router_shards,
                 config.router_session_capacity) {
-  GROUTING_CHECK(strategy != nullptr);
-  rebalance_.threshold = config_.router_rebalance_threshold;
-  rebalance_.migration_cap = config_.router_migration_cap;
-  adaptive_ = config_.num_router_shards > 1 &&
-              config_.router_splitter == SplitterKind::kAdaptive;
-  shards_.reserve(config_.num_router_shards);
-  for (uint32_t s = 1; s < config_.num_router_shards; ++s) {
-    auto clone = strategy->Clone();
-    GROUTING_CHECK_MSG(clone != nullptr,
-                       "num_router_shards > 1 requires a Clone()-able strategy");
-    auto shard = std::make_unique<RouterShard>();
-    shard->strategy = std::move(clone);
-    shards_.push_back(std::move(shard));
+  for (auto& shard_strategy :
+       CloneStrategyPerShard(std::move(strategy), config_.num_router_shards)) {
+    shards_.push_back(std::make_unique<RouterShard>());
+    shards_.back()->strategy = std::move(shard_strategy);
   }
-  auto shard0 = std::make_unique<RouterShard>();
-  shard0->strategy = std::move(strategy);
-  shards_.insert(shards_.begin(), std::move(shard0));
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
     channels_.push_back(std::make_unique<MpmcQueue<Routed>>());
   }
@@ -208,7 +196,6 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries,
     }
     arrival_channels_[shard]->Push(q);
   }
-  arrivals_done_.store(true, std::memory_order_release);
   for (auto& ch : arrival_channels_) {
     ch->Close();  // shard threads drain what remains, then exit
   }
@@ -271,94 +258,63 @@ void ThreadedCluster::WriterLoop(Clock::time_point epoch) {
   }
 }
 
+std::vector<std::unique_lock<std::mutex>> ThreadedCluster::LockAllShards() {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (auto& shard : shards_) {
+    locks.emplace_back(shard->mu);
+  }
+  return locks;
+}
+
 void ThreadedCluster::GossipLoop() {
   const auto period =
       std::chrono::duration<double, std::micro>(config_.gossip_period_us);
-  const bool rebalance = adaptive_ && rebalance_.enabled();
   // Time base for the index-refresh period gate (wall µs since the loop
   // started — only differences are compared, so the epoch choice is free).
   const auto gossip_epoch = Clock::now();
-  std::vector<RoutingStrategy*> views;
-  std::vector<const RoutingStrategy*> const_views;
-  std::vector<uint64_t> loads(shards_.size(), 0);
-  views.reserve(shards_.size());
-  const_views.reserve(shards_.size());
+  std::vector<RoutingStrategy*> strategies;
+  std::vector<uint64_t> routed(shards_.size(), 0);
+  strategies.reserve(shards_.size());
   for (auto& shard : shards_) {
-    views.push_back(shard->strategy.get());
-    const_views.push_back(shard->strategy.get());
+    strategies.push_back(shard->strategy.get());
   }
+  // Runs until Run() has collected the last answer, like the simulator's
+  // GossipTick chain, in the same order: router round, storage round, index
+  // maintenance.
   while (!gossip_stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(period);
     if (gossip_stop_.load(std::memory_order_acquire)) {
       break;
     }
-    if (router_gossip_) {
-      // One tick: take every shard's mutex (fixed order — other threads
-      // only ever hold one at a time, so no deadlock) and run the SAME
-      // blend the sim fleet runs, so the two engines' gossip semantics
-      // cannot drift.
-      std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(shards_.size());
-      for (auto& shard : shards_) {
-        locks.emplace_back(shard->mu);
+    {
+      // The router round, with every shard mutex held: the blend and the
+      // migrated sessions' strategy-state carry touch every shard's
+      // strategy, and the splitter mutex stalls the feeder while sessions
+      // move.
+      const auto locks = LockAllShards();
+      GossipBlendRound(strategies, &gossip_stats_);
+      for (size_t s = 0; s < shards_.size(); ++s) {
+        routed[s] = shards_[s]->routed.load(std::memory_order_relaxed);
       }
-      gossip_stats_.last_divergence_before = CrossShardStateDivergence(const_views);
-      GossipBlendStrategies(views);
-      gossip_stats_.last_divergence_after = CrossShardStateDivergence(const_views);
-      gossip_stats_.rounds += 1;
+      const std::lock_guard<std::mutex> splitter_lock(splitter_mu_);
+      GossipRebalanceRound(&splitter_, routed, config_.router_rebalance, strategies);
     }
-    if (repartition_enabled()) {
-      // Storage-tier repartitioning folded into the same tick, exactly like
-      // the arrival rebalance: the round plans against the monitor's
-      // decayed rates and physically migrates partitions while processor /
-      // fetch threads keep serving — MigratePartition's copy-flip-drain-
-      // delete order plus the processor-side miss re-resolution keep every
-      // answer exactly-once. The stall metric is the tick's wall time spent
-      // moving data.
-      const auto mig_start = Clock::now();
-      const auto executed = RepartitionRound();
-      if (!executed.empty()) {
-        repartition_stall_us_ += ElapsedUs(mig_start, Clock::now());
-      }
+    // The storage round plans against the monitor's decayed rates and
+    // physically migrates partitions while processor / fetch threads keep
+    // serving — MigratePartition's copy-flip-drain-delete order plus the
+    // processor-side miss re-resolution keep every answer exactly-once. The
+    // stall metric is the tick's wall time spent moving data.
+    const auto mig_start = Clock::now();
+    if (!RepartitionRound().empty()) {
+      repartition_stall_us_ += ElapsedUs(mig_start, Clock::now());
     }
     if (config_.enable_mutations) {
-      // Incremental index maintenance rides the same tick, like every
-      // other controller. The maintainer may touch routing-strategy index
-      // state (landmark distances, embedding coordinates), so the pass
-      // runs with EVERY shard mutex held — race-free against Route() on
-      // the shard threads, same fixed-order locking as the blend above.
-      std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(shards_.size());
-      for (auto& shard : shards_) {
-        locks.emplace_back(shard->mu);
-      }
+      // The maintainer may touch routing-strategy index state (landmark
+      // distances, embedding coordinates), so the pass runs with every shard
+      // mutex held — race-free against Route() on the shard threads.
+      const auto locks = LockAllShards();
       RunIndexMaintenance(ElapsedUs(gossip_epoch, Clock::now()));
-    }
-    if (rebalance && !arrivals_done_.load(std::memory_order_acquire)) {
-      // Adaptive re-splitting folded into the same tick: snapshot the
-      // shards' routed counts and migrate hot sessions. The O(sessions)
-      // rebalance scan holds only the splitter mutex (stalling at most the
-      // feeder, never the routing threads); the shard mutexes are retaken
-      // briefly for the deduped strategy-state carry. Once the stream has
-      // drained there is nothing left to re-split, so the tick stops
-      // migrating — the simulator's gossip chain stops the same way.
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        loads[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-      }
-      std::vector<SessionMigration> migrations;
-      {
-        std::lock_guard<std::mutex> splitter_lock(splitter_mu_);
-        migrations = splitter_.Rebalance(loads, rebalance_);
-      }
-      if (!migrations.empty()) {
-        std::vector<std::unique_lock<std::mutex>> locks;
-        locks.reserve(shards_.size());
-        for (auto& shard : shards_) {
-          locks.emplace_back(shard->mu);
-        }
-        ApplyMigrationCarry(views, migrations);
-        sessions_migrated_.fetch_add(migrations.size(), std::memory_order_relaxed);
-      }
     }
   }
 }
@@ -439,18 +395,6 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
 
   const uint32_t num_shards = static_cast<uint32_t>(shards_.size());
 
-  // Spawn the gossip tick only when it has work: EMA state to blend, an
-  // adaptive rebalance to drive, or storage-tier repartition rounds to run.
-  // Stateless strategies under a static splitter would pay the per-tick
-  // locks and clones for a guaranteed no-op. Decided before any thread can
-  // touch the strategies.
-  router_gossip_ = num_shards > 1 && config_.gossip_period_us > 0.0 &&
-                   (!shards_[0]->strategy->GossipState().empty() ||
-                    (adaptive_ && rebalance_.enabled()));
-  const bool gossip =
-      router_gossip_ || ((repartition_enabled() || config_.enable_mutations) &&
-                         config_.gossip_period_us > 0.0);
-
   const auto start = Clock::now();
   if (tracer_ != nullptr) {
     // One tracer per thread-owned ring, all sharing the run epoch. Built
@@ -490,7 +434,7 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   if (config_.enable_mutations && !mutation_schedule().empty()) {
     writer_thread_ = std::thread([this, start] { WriterLoop(start); });
   }
-  if (gossip) {
+  if (control_tick_enabled()) {
     gossip_thread_ = std::thread([this] { GossipLoop(); });
   }
 
@@ -568,7 +512,7 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   }
   m.gossip_rounds = gossip_stats_.rounds;
   m.router_ema_divergence = CrossShardStateDivergence(views);
-  m.sessions_migrated = sessions_migrated_.load(std::memory_order_relaxed);
+  m.sessions_migrated = splitter_.stats().migrations;
   m.sticky_evictions = splitter_.stats().evictions;
   m.router_load_imbalance = MaxMinLoadRatio(m.queries_per_router_shard);
   AddStorageTierStats(&m);

@@ -11,12 +11,13 @@
 //   N router-shard threads : each pops its arrival channel and routes onto
 //                    per-processor channels with its OWN strategy
 //                    instance, using live channel lengths as load,
-//   gossip thread  : when sharded, periodically blends the shards' EMA
-//                    state (mutex-light: one short lock per shard per tick)
-//                    and — with the adaptive splitter — runs the arrival
-//                    rebalance off the same tick: hot sessions migrate from
-//                    the most- to the least-loaded shard, carrying strategy
-//                    state via MergeRemoteState,
+//   gossip thread  : the control tick (ClusterEngine::control_tick_enabled):
+//                    with every shard mutex held, blends the shards' EMA
+//                    state and — with the adaptive splitter — migrates hot
+//                    sessions from the most- to the least-loaded shard,
+//                    carrying strategy state (the simulator's router round,
+//                    src/frontend/gossip.h); then a storage repartition
+//                    round and an index-maintenance pass,
 //   P processor threads : drain their channel; when empty they STEAL from
 //                    the longest sibling channel; every dispatch is fed
 //                    back to the routing shard's strategy (steal-aware),
@@ -113,6 +114,9 @@ class ThreadedCluster : public ClusterEngine {
   // schedule entry is applied exactly once on both engines.
   void WriterLoop(Clock::time_point epoch);
   bool StealInto(uint32_t thief, Routed* out);
+  // Every router-shard mutex, taken in shard order (other threads only ever
+  // hold one at a time, so the gossip tick cannot deadlock against them).
+  std::vector<std::unique_lock<std::mutex>> LockAllShards();
 
   // One router shard: its own strategy instance behind its own mutex. The
   // mutex is uncontended outside gossip ticks and steal feedback.
@@ -135,9 +139,6 @@ class ThreadedCluster : public ClusterEngine {
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> gossip_stop_{false};
   GossipStats gossip_stats_;  // written by the gossip thread, read post-join
-  // Router-shard gossip actually has state to blend (vs the tick existing
-  // only to drive storage repartitioning). Decided in Run().
-  bool router_gossip_ = false;
   // Wall time the gossip tick spent migrating partitions (copy + drain +
   // delete); written by the gossip thread, read post-join.
   double repartition_stall_us_ = 0.0;
@@ -146,8 +147,6 @@ class ThreadedCluster : public ClusterEngine {
   // the adaptive splitter — the gossip tick (Rebalance), behind splitter_mu_.
   ArrivalSplitter splitter_;
   std::mutex splitter_mu_;
-  RebalancePolicy rebalance_;
-  bool adaptive_;  // adaptive splitter: rebalance at gossip ticks
   // Per-tenant admission decisions for the run's schedule, computed in
   // Run() before any thread spawns and identical to the simulated engine's
   // plan for the same schedule.
@@ -155,8 +154,6 @@ class ThreadedCluster : public ClusterEngine {
   std::vector<std::unique_ptr<MpmcQueue<Query>>> arrival_channels_;
   std::thread feeder_thread_;
   std::thread writer_thread_;
-  std::atomic<bool> arrivals_done_{false};
-  std::atomic<uint64_t> sessions_migrated_{0};
 
   // Wall-clock tracers, one per processor thread and one per router-shard
   // thread (each written only by its owning thread into its own ring).

@@ -15,9 +15,7 @@ DecoupledClusterSim::DecoupledClusterSim(const Graph& graph, const ClusterConfig
   fc.splitter = config_.router_splitter;
   fc.session_capacity = config_.router_session_capacity;
   fc.router.enable_stealing = config_.enable_stealing;
-  fc.gossip.period_us = config_.gossip_period_us;
-  fc.rebalance.threshold = config_.router_rebalance_threshold;
-  fc.rebalance.migration_cap = config_.router_migration_cap;
+  fc.rebalance = config_.router_rebalance;
   fleet_ = std::make_unique<RouterFleet>(std::move(strategy), config_.num_processors, fc);
   in_flight_.resize(config_.num_processors);
   processor_idle_.assign(config_.num_processors, 1);
@@ -112,15 +110,9 @@ ClusterMetrics DecoupledClusterSim::Run(std::span<const Query> queries) {
     }
   };
 
-  // Load/EMA gossip between router shards — and the storage-tier
-  // repartition rounds that ride the same cadence — as recurring
-  // virtual-time events. Repartitioning alone (single router shard) still
-  // needs the tick chain, gated on a positive period exactly like gossip;
-  // so does incremental index maintenance, which drains mutation-dirtied
-  // nodes at each tick.
-  if (fleet_->gossip_enabled() ||
-      ((repartition_enabled() || config_.enable_mutations) &&
-       config_.gossip_period_us > 0.0)) {
+  // The control tick (router gossip, storage repartitioning, index
+  // maintenance) as recurring virtual-time events.
+  if (control_tick_enabled()) {
     // The tick chain stops when the ADMITTED queries drain — shed arrivals
     // never produce an answer.
     events_.ScheduleAt(config_.gossip_period_us,
@@ -164,34 +156,32 @@ void DecoupledClusterSim::GossipTick(size_t total_queries) {
   if (answers_.size() >= total_queries) {
     return;  // run drained: stop the gossip chain
   }
-  if (fleet_->gossip_enabled()) {
-    fleet_->GossipRound();
-  }
-  if (repartition_enabled()) {
-    // Execute the round's migrations and replica changes now (functionally
-    // instantaneous and race-free: the event loop is the only thread), then
-    // charge the copy cost on the storage timeline — queries whose batches
-    // land on an affected server queue behind the move. Migrations and
-    // replica promotions charge base + per-key copy cost to both ends; a
-    // demotion only drains and deletes on the replica server, so it is
-    // charged base cost there alone.
-    const CostModel& cm = config_.cost;
-    for (const StorageTier::MigrationResult& mig : RepartitionRound()) {
-      if (mig.from == mig.to) {
-        continue;
-      }
-      const bool demote = mig.kind == StorageTier::MigrationResult::Kind::kDemote;
-      const SimTimeUs cost =
-          demote ? cm.migration_base_us
-                 : cm.migration_base_us +
-                       cm.migration_per_key_us * static_cast<double>(mig.keys_moved);
-      for (const uint32_t s : {mig.from, mig.to}) {
-        const SimTimeUs start = std::max(events_.now(), server_busy_until_[s]);
-        server_busy_until_[s] = start + cost;
-        repartition_stall_us_ += cost;
-        if (demote) {
-          break;  // only the replica server (`from`) pays for its teardown
-        }
+  // One order on both engines: the router round (load/EMA blend, then
+  // adaptive re-splitting), storage repartitioning, index maintenance.
+  fleet_->GossipRound();
+  // Execute the storage round's migrations and replica changes now (functionally
+  // instantaneous and race-free: the event loop is the only thread), then
+  // charge the copy cost on the storage timeline — queries whose batches
+  // land on an affected server queue behind the move. Migrations and
+  // replica promotions charge base + per-key copy cost to both ends; a
+  // demotion only drains and deletes on the replica server, so it is
+  // charged base cost there alone.
+  const CostModel& cm = config_.cost;
+  for (const StorageTier::MigrationResult& mig : RepartitionRound()) {
+    if (mig.from == mig.to) {
+      continue;
+    }
+    const bool demote = mig.kind == StorageTier::MigrationResult::Kind::kDemote;
+    const SimTimeUs cost =
+        demote ? cm.migration_base_us
+               : cm.migration_base_us +
+                     cm.migration_per_key_us * static_cast<double>(mig.keys_moved);
+    for (const uint32_t s : {mig.from, mig.to}) {
+      const SimTimeUs start = std::max(events_.now(), server_busy_until_[s]);
+      server_busy_until_[s] = start + cost;
+      repartition_stall_us_ += cost;
+      if (demote) {
+        break;  // only the replica server (`from`) pays for its teardown
       }
     }
   }

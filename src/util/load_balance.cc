@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/check.h"
-
 namespace grouting {
 
 std::vector<LoadMove> PlanLoadMoves(std::span<double> loads,
@@ -14,8 +12,7 @@ std::vector<LoadMove> PlanLoadMoves(std::span<double> loads,
   if (!policy.enabled() || loads.size() < 2) {
     return moves;
   }
-  GROUTING_CHECK(policy.hysteresis > 0.0 && policy.hysteresis <= 1.0);
-  const double stop_ratio = std::max(1.0, policy.hysteresis * policy.threshold);
+  const double stop_ratio = std::max(1.0, kRebalanceHysteresis * policy.threshold);
 
   bool triggered = false;
   while (moves.size() < policy.migration_cap) {

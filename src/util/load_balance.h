@@ -31,6 +31,12 @@ inline double MaxMinLoadRatio(std::span<const uint64_t> loads) {
   return static_cast<double>(hi) / static_cast<double>(lo > 0 ? lo : 1);
 }
 
+// Once triggered, PlanLoadMoves moves load down to this fraction of the
+// trigger threshold (a lower water mark in (0, 1]) so the next round does
+// not immediately re-trigger.
+inline constexpr double kRebalanceHysteresis = 0.9;
+static_assert(kRebalanceHysteresis > 0.0 && kRebalanceHysteresis <= 1.0);
+
 // Controller policy of PlanLoadMoves.
 struct RebalancePolicy {
   // Trigger: move load when (max+1)/(min+1) over the owners' decayed loads
@@ -38,9 +44,6 @@ struct RebalancePolicy {
   double threshold = 0.0;
   // At most this many items move per round.
   uint32_t migration_cap = 8;
-  // Once triggered, move load down to hysteresis * threshold (a lower water
-  // mark in (0, 1]) so the next round does not immediately re-trigger.
-  double hysteresis = 0.9;
   // Per-round decay of the load signal, in [0, 1). Callers roll each
   // round's counts into an EWMA with it, so the controller reacts to the
   // RECENT rate, not to cumulative counts (which would make it ever less
@@ -78,9 +81,9 @@ struct LoadMove {
 // (0, gap), smallest |gap - 2 rate|, lowest id on ties whatever the item
 // order. Items at or above the gap never move, so every move strictly
 // narrows the spread instead of relocating a hotspot. Stops at the
-// hysteresis water mark, at migration_cap moves, or when nothing can move.
-// Each move is applied in place: the item's owner changes and its rate
-// shifts between the two entries of `loads`. Returns the moves in order
+// kRebalanceHysteresis water mark, at migration_cap moves, or when nothing
+// can move. Each move is applied in place: the item's owner changes and its
+// rate shifts between the two entries of `loads`. Returns the moves in order
 // (none unless policy.enabled()).
 std::vector<LoadMove> PlanLoadMoves(std::span<double> loads,
                                     std::span<MovableLoad> items,

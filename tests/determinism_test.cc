@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <vector>
 
 #include "src/core/grouting.h"
 
@@ -25,14 +26,23 @@ constexpr uint64_t kSeeds[] = {1, 7, 23, 31, 4242};
 
 // Runs every seed x scheme twice on the simulated engine with the full
 // adaptive stack (repartitioning + hot-partition replication + async fetch)
-// plus whatever `configure` adds, and expects the two runs to agree on every
+// plus whatever `configure` adds and, with `num_mutations` > 0, a timed
+// edge-mutation schedule, and expects the two runs to agree on every
 // ClusterMetrics field, per_tenant included. Doubles compare exactly on
 // purpose: determinism means the same float ops in the same order.
-void ExpectDeterministic(const std::function<void(RunOptions*)>& configure) {
+void ExpectDeterministic(const std::function<void(RunOptions*)>& configure,
+                         size_t num_mutations = 0) {
   for (const uint64_t seed : kSeeds) {
     ExperimentEnv env(DatasetId::kWebGraphLike, /*scale=*/0.06, seed);
     const auto queries = env.SkewedWorkload(/*sessions=*/16, /*queries=*/150,
                                             /*zipf_s=*/1.3);
+    std::vector<GraphMutation> schedule;
+    if (num_mutations > 0) {
+      MutationScheduleConfig mc;
+      mc.num_mutations = num_mutations;
+      mc.seed = env.seed() ^ 0x66;
+      schedule = GenerateMutationSchedule(env.graph(), {}, mc);
+    }
     for (const RoutingSchemeKind scheme : kAllSchemes) {
       RunOptions opts;
       opts.scheme = scheme;
@@ -50,14 +60,23 @@ void ExpectDeterministic(const std::function<void(RunOptions*)>& configure) {
       opts.gossip_period_us = 50.0;
       opts.arrival_gap_us = 2.0;
       configure(&opts);
+      const auto run = [&] {
+        auto engine = MakeClusterEngine(EngineKind::kSimulated, env.graph(),
+                                        env.MakeClusterConfig(opts),
+                                        env.MakeStrategy(opts));
+        if (!schedule.empty()) {
+          engine->set_mutation_schedule(schedule);
+        }
+        return engine->Run(queries);
+      };
 
-      const ClusterMetrics first = env.Run(EngineKind::kSimulated, opts, queries);
-      const ClusterMetrics second = env.Run(EngineKind::kSimulated, opts, queries);
+      const ClusterMetrics first = run();
+      const ClusterMetrics second = run();
       SCOPED_TRACE(::testing::Message()
                    << "seed " << seed << ", scheme "
                    << RoutingSchemeKindName(scheme));
       EXPECT_EQ(first.queries, queries.size());
-      EXPECT_EQ(first.mutations_applied, opts.enable_mutations ? opts.num_mutations : 0);
+      EXPECT_EQ(first.mutations_applied, schedule.size());
       EXPECT_EQ(first, second);
     }
   }
@@ -71,11 +90,12 @@ TEST(DeterminismTest, SimMetricsAreBitIdenticalUnderOnlineMutations) {
   // Same invariant with the online write path live: timed mutation events
   // interleave with queries, migrations, and replica churn in virtual time,
   // and index maintenance runs on the gossip cadence.
-  ExpectDeterministic([](RunOptions* opts) {
-    opts->enable_mutations = true;
-    opts->num_mutations = 96;
-    opts->index_refresh_period_us = 100.0;
-  });
+  ExpectDeterministic(
+      [](RunOptions* opts) {
+        opts->enable_mutations = true;
+        opts->index_refresh_period_us = 100.0;
+      },
+      /*num_mutations=*/96);
 }
 
 }  // namespace

@@ -358,6 +358,62 @@ TEST_F(FrontendFixture, ThreadedEngineShardedAnswersExactlyOnce) {
   EXPECT_GE(m.router_ema_divergence, 0.0);
 }
 
+TEST_F(FrontendFixture, StatelessShardedRunCountsGossipRoundsOnBothEngines) {
+  // Landmark routing has no EMA state to blend, yet a sharded run still
+  // gossips: both engines count the rounds of a tick that runs while the
+  // arrivals are stretched over many periods.
+  RunOptions opts = SmallRun(RoutingSchemeKind::kLandmark);
+  opts.router_shards = 2;
+  opts.splitter = SplitterKind::kRoundRobin;
+  opts.gossip_period_us = 100.0;
+  opts.arrival_gap_us = 50.0;  // 100 arrivals over ~50 periods
+  const auto queries = env_->HotspotWorkload(2, 2, 20, 5);
+  for (const EngineKind kind : {EngineKind::kSimulated, EngineKind::kThreaded}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    auto engine = MakeClusterEngine(kind, env_->graph(), env_->MakeClusterConfig(opts),
+                                    env_->MakeStrategy(opts));
+    const ClusterMetrics m = engine->Run(queries);
+    EXPECT_EQ(m.queries, queries.size());
+    EXPECT_GT(m.gossip_rounds, 0u);
+    EXPECT_EQ(m.router_ema_divergence, 0.0);
+  }
+}
+
+TEST_F(FrontendFixture, ControlTickRuleIsOneTableForBothEngines) {
+  // gossip_period_us > 0 && (shards > 1 || repartitioning || mutations),
+  // over every combination, on both engines; the simulated run then counts
+  // gossip rounds exactly when the tick runs with shards to gossip between.
+  const auto queries = env_->HotspotWorkload(2, 2, 4, 5);
+  for (const uint32_t shards : {1u, 2u}) {
+    for (const double period : {0.0, 100.0}) {
+      for (const bool repartition : {false, true}) {
+        for (const bool mutations : {false, true}) {
+          RunOptions opts = SmallRun(RoutingSchemeKind::kHash);
+          opts.router_shards = shards;
+          opts.gossip_period_us = period;
+          opts.repartition_threshold = repartition ? 1.1 : 0.0;
+          opts.enable_mutations = mutations;
+          opts.arrival_gap_us = 20.0;
+          const bool expected = period > 0.0 && (shards > 1 || repartition || mutations);
+          SCOPED_TRACE(::testing::Message()
+                       << "shards " << shards << ", period " << period
+                       << ", repartition " << repartition << ", mutations " << mutations);
+          for (const EngineKind kind : {EngineKind::kSimulated, EngineKind::kThreaded}) {
+            auto engine = MakeClusterEngine(kind, env_->graph(),
+                                            env_->MakeClusterConfig(opts),
+                                            env_->MakeStrategy(opts));
+            EXPECT_EQ(engine->control_tick_enabled(), expected) << EngineKindName(kind);
+            if (kind == EngineKind::kSimulated) {
+              const ClusterMetrics m = engine->Run(queries);
+              EXPECT_EQ(m.gossip_rounds > 0, expected && shards > 1);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(FrontendFixture, ShardedFleetMatchesSingleRouterAnswersOnBothEngines) {
   // Sharding the frontend must never change WHAT is answered, only how the
   // stream is routed: compare against the 1-shard run per engine.

@@ -20,7 +20,11 @@ police prose:
    a vector, a `ClusterMetricFields()` row (src/core/cluster_engine.cc); every
    table row, derived keys included, has a docs/METRICS.md row too.
 
-4. With --cli, the README "CLI reference" table and `grouting_cli --help`
+4. Every `RunOptions` field (src/core/experiment.h) is set by the CLI: an
+   `opts.<field> = ...` assignment in examples/grouting_cli.cc, so the
+   README's claim that the CLI exposes every `RunOptions` knob holds.
+
+5. With --cli, the README "CLI reference" table and `grouting_cli --help`
    list the same flags with the same defaults (a README default of `off`
    means the flag has none). `--help` itself needs no row.
 
@@ -39,6 +43,8 @@ STRUCTS = ("ClusterConfig", "ClusterMetrics")
 HEADER = os.path.join("src", "core", "cluster_engine.h")
 TABLE_SOURCE = os.path.join("src", "core", "cluster_engine.cc")
 METRICS_DOC = os.path.join("docs", "METRICS.md")
+OPTIONS_HEADER = os.path.join("src", "core", "experiment.h")
+CLI_SOURCE = os.path.join("examples", "grouting_cli.cc")
 
 # ClusterMetricFields() rows: GROUTING_METRIC(field, ...) or {"derived_key", ...
 TABLE_ROW_RE = re.compile(r'GROUTING_METRIC\((\w+),|^\s*\{"(\w+)",', re.M)
@@ -51,6 +57,8 @@ HELP_FLAG_RE = re.compile(r"^  --([\w-]+)(?:=(\S+))?\s", re.M)
 
 # A field declaration: ends in ';', is not a method/using/friend line.
 FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s*&\]\[]*\s+(\w+)\s*(=[^;]*|\{[^;]*\})?;")
+# A CLI assignment to a RunOptions field: opts.<field> = ... (not ==).
+OPTS_ASSIGN_RE = re.compile(r"\bopts\.(\w+)\s*=(?!=)")
 
 
 def check_links(root):
@@ -101,45 +109,69 @@ def struct_body(lines, name):
     return body
 
 
+def struct_fields(lines, name):
+    """(field, declaration line, has a doc comment) for each top-level field
+    of the struct, or None when the struct is missing."""
+    body = struct_body(lines, name)
+    if body is None:
+        return None
+    fields = []
+    prev_was_comment = False
+    depth = 0
+    for line in body:
+        stripped = line.strip()
+        in_method_body = depth > 0
+        depth += line.count("{") - line.count("}")
+        if in_method_body or not stripped:
+            prev_was_comment = False
+            continue
+        if stripped.startswith("//"):
+            prev_was_comment = True
+            continue
+        m = FIELD_RE.match(line)
+        if (m is None or m.group(1) == "operator"
+                or "(" in line.split("//")[0].rsplit(";", 1)[0].split("=")[0]):
+            # method, constructor, using-decl, ... — not a field
+            prev_was_comment = False
+            continue
+        fields.append((m.group(1), line, prev_was_comment or "//" in line))
+        prev_was_comment = False
+    return fields
+
+
+def read_lines(root, rel):
+    with open(os.path.join(root, rel), encoding="utf-8") as f:
+        return f.read().splitlines()
+
+
 def check_field_comments(root, metric_fields):
     """Doc-comment check; collects ClusterMetrics (name, line) pairs."""
-    path = os.path.join(root, HEADER)
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_lines(root, HEADER)
     failures = []
-    fields = 0
+    count = 0
     for name in STRUCTS:
-        body = struct_body(lines, name)
-        if body is None:
+        fields = struct_fields(lines, name)
+        if fields is None:
             failures.append(f"{HEADER}: struct {name} not found")
             continue
-        prev_was_comment = False
-        depth = 0
-        for line in body:
-            stripped = line.strip()
-            in_method_body = depth > 0
-            depth += line.count("{") - line.count("}")
-            if in_method_body or not stripped:
-                prev_was_comment = False
-                continue
-            if stripped.startswith("//"):
-                prev_was_comment = True
-                continue
-            m = FIELD_RE.match(line)
-            if (m is None or m.group(1) == "operator"
-                    or "(" in line.split("//")[0].rsplit(";", 1)[0].split("=")[0]):
-                # method, constructor, using-decl, ... — not a field
-                prev_was_comment = False
-                continue
-            fields += 1
+        for field, line, documented in fields:
+            count += 1
             if name == "ClusterMetrics":
-                metric_fields.append((m.group(1), line))
-            documented = prev_was_comment or "//" in line
+                metric_fields.append((field, line))
             if not documented:
-                failures.append(
-                    f"{HEADER}: {name}::{m.group(1)} has no // doc comment")
-            prev_was_comment = False
-    print(f"doc-comment check: {fields} fields across {len(STRUCTS)} structs")
+                failures.append(f"{HEADER}: {name}::{field} has no // doc comment")
+    print(f"doc-comment check: {count} fields across {len(STRUCTS)} structs")
+    return failures
+
+
+def check_cli_options(root):
+    fields = struct_fields(read_lines(root, OPTIONS_HEADER), "RunOptions")
+    if fields is None:
+        return [f"{OPTIONS_HEADER}: struct RunOptions not found"]
+    assigned = set(OPTS_ASSIGN_RE.findall("\n".join(read_lines(root, CLI_SOURCE))))
+    failures = [f"RunOptions::{field} has no opts.{field} assignment in {CLI_SOURCE}"
+                for field, _, _ in fields if field not in assigned]
+    print(f"cli options check: {len(fields)} RunOptions fields")
     return failures
 
 
@@ -205,7 +237,8 @@ def main():
 
     metric_fields = []
     failures = (check_links(args.root) + check_field_comments(args.root, metric_fields)
-                + check_metric_table(args.root, metric_fields))
+                + check_metric_table(args.root, metric_fields)
+                + check_cli_options(args.root))
     if args.cli:
         failures += check_cli_table(args.root, args.cli)
     if failures:
