@@ -56,8 +56,8 @@ RunOptions AdaptiveOpts(SplitterKind splitter, double threshold) {
   opts.scheme = RoutingSchemeKind::kEmbed;
   opts.router_shards = kShards;
   opts.splitter = splitter;
-  opts.rebalance_threshold = threshold;
-  opts.migration_cap = 8;
+  opts.router_rebalance.threshold = threshold;
+  opts.router_rebalance.migration_cap = 8;
   // Spread arrivals so rebalance rounds interleave with the stream (with a
   // back-to-back stream every arrival is assigned before the first gossip
   // event) and give each round a ~40-arrival window — enough signal for the

@@ -57,9 +57,9 @@ RunOptions RepartitionOpts(double threshold) {
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
   opts.processors = 3;
-  opts.repartition_threshold = threshold;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
+  opts.repartition.migration.threshold = threshold;
+  opts.repartition.migration.migration_cap = 4;
+  opts.repartition.partitions_per_server = 8;
   // Small cache + few processors: the skewed hot set must keep missing into
   // storage, or the tier never sees the skew (with an ample cache every key
   // is fetched at most once per processor, the residual miss traffic is

@@ -59,12 +59,12 @@ RunOptions ReplicationOpts(double threshold, uint32_t top_k) {
   opts.processors = 8;
   opts.storage_servers = 4;
   opts.max_inflight_batches = 2;
-  opts.repartition_threshold = threshold;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
-  opts.replication_top_k = top_k;
-  opts.max_replicas_per_partition = 3;
-  opts.replica_demote_threshold = 0.05;
+  opts.repartition.migration.threshold = threshold;
+  opts.repartition.migration.migration_cap = 4;
+  opts.repartition.partitions_per_server = 8;
+  opts.repartition.replication_top_k = top_k;
+  opts.repartition.max_replicas_per_partition = 3;
+  opts.repartition.replica_demote_threshold = 0.05;
   opts.gossip_period_us = 100.0;
   opts.arrival_gap_us = 0.5;
   // 1-hop traversals: deeper hops fan the hot sessions' reads across the

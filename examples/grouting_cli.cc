@@ -58,12 +58,10 @@ class Flags {
   }
   // A non-negative integer in [min, max] (max defaults to what T holds).
   template <typename T>
-  T GetInt(const std::string& key, T def, const char* help, T min = 0,
-           T max = std::numeric_limits<T>::max()) {
+  T GetInt(const std::string& key, T def, const char* help, uint64_t min = 0,
+           uint64_t max = std::numeric_limits<T>::max()) {
     const uint64_t v = Parse<uint64_t>(key, def, help, "a non-negative integer");
-    return InRange(key, v, static_cast<uint64_t>(min), static_cast<uint64_t>(max))
-               ? static_cast<T>(v)
-               : def;
+    return InRange(key, v, min, max) ? static_cast<T>(v) : def;
   }
   // A byte size such as 16MB or 512KB (ParseByteSize).
   uint64_t GetBytes(const std::string& key, const std::string& def, const char* help) {
@@ -272,56 +270,72 @@ int main(int argc, char** argv) {
   const double scale = flags.GetDouble("scale", 0.25, "dataset scale", kPositive);
   const uint64_t seed = flags.GetInt<uint64_t>("seed", 4242, "experiment seed");
 
+  // A flag that sets a field defaults to the field's default value.
   RunOptions opts;
   opts.scheme = kSchemes.at(scheme_name);
-  opts.processors = flags.GetInt<uint32_t>("processors", 7, "query processors", 1);
-  opts.storage_servers = flags.GetInt<uint32_t>("storage", 4, "storage servers", 1);
-  opts.cache_bytes =
-      flags.GetBytes("cache", "0", "per-processor cache, e.g. 16MB; 0 = ample");
+  opts.processors = flags.GetInt("processors", opts.processors, "query processors", 1);
+  opts.storage_servers =
+      flags.GetInt("storage", opts.storage_servers, "storage servers", 1);
+  opts.cache_bytes = flags.GetBytes("cache", std::to_string(opts.cache_bytes),
+                                    "per-processor cache, e.g. 16MB; 0 = ample");
   opts.cache_policy = kPolicies.at(policy_name);
   opts.cost = network_name == "ethernet" ? CostModel::EthernetDefaults()
                                          : CostModel::InfinibandDefaults();
-  opts.hotspot_radius = flags.GetInt<int32_t>("radius", 2, "hotspot radius r");
-  opts.hops = flags.GetInt<int32_t>("hops", 2, "traversal depth h");
-  opts.num_hotspots = flags.GetInt<size_t>("hotspots", 100, "workload hotspots");
+  opts.hotspot_radius = flags.GetInt("radius", opts.hotspot_radius, "hotspot radius r");
+  opts.hops = flags.GetInt("hops", opts.hops, "traversal depth h");
+  opts.num_hotspots = flags.GetInt("hotspots", opts.num_hotspots, "workload hotspots");
   opts.queries_per_hotspot =
-      flags.GetInt<size_t>("per-hotspot", 10, "queries per hotspot");
-  opts.num_landmarks = flags.GetInt<size_t>("landmarks", 96, "landmark count", 1);
-  opts.min_separation =
-      flags.GetInt<int32_t>("separation", 3, "minimum landmark separation (hops)");
-  opts.dimensions = flags.GetInt<size_t>("dims", 10, "embedding dimensions", 1);
-  opts.load_factor =
-      flags.GetDouble("load-factor", 20.0, "load-penalty weight", kPositive);
-  opts.alpha = flags.GetDouble("alpha", 0.5, "embed distance/load blend", 0.0, 1.0);
+      flags.GetInt("per-hotspot", opts.queries_per_hotspot, "queries per hotspot");
+  opts.num_landmarks = flags.GetInt("landmarks", opts.num_landmarks, "landmark count", 1);
+  opts.min_separation = flags.GetInt("separation", opts.min_separation,
+                                     "minimum landmark separation (hops)");
+  opts.dimensions = flags.GetInt("dims", opts.dimensions, "embedding dimensions", 1);
+  opts.load_factor = flags.GetDouble("load-factor", opts.load_factor,
+                                     "load-penalty weight", kPositive);
+  opts.alpha =
+      flags.GetDouble("alpha", opts.alpha, "embed distance/load blend", 0.0, 1.0);
   opts.stealing = !flags.Has("no-stealing", "disable idle-processor stealing");
   opts.router_shards =
-      flags.GetInt<uint32_t>("router-shards", 1, "router frontend shards", 1);
+      flags.GetInt("router-shards", opts.router_shards, "router frontend shards", 1);
   opts.splitter = kSplitters.at(splitter_name);
-  opts.gossip_period_us =
-      flags.GetDouble("gossip-period", 200.0, "µs between gossip rounds; 0 = off", 0.0);
-  opts.rebalance_threshold = flags.GetDouble(
-      "rebalance-threshold", 0.0, "adaptive splitter max/min load trigger; <=1 = off");
-  opts.migration_cap =
-      flags.GetInt<uint32_t>("migration-cap", 8, "sessions moved per rebalance round");
-  opts.session_capacity = flags.GetInt<uint32_t>(
-      "session-capacity", 1 << 16, "sticky/adaptive session-table bound", 1);
+  opts.gossip_period_us = flags.GetDouble("gossip-period", opts.gossip_period_us,
+                                          "µs between gossip rounds; 0 = off", 0.0);
+  opts.router_rebalance.threshold =
+      flags.GetDouble("rebalance-threshold", opts.router_rebalance.threshold,
+                      "adaptive splitter max/min load trigger; <=1 = off");
+  opts.router_rebalance.migration_cap =
+      flags.GetInt("migration-cap", opts.router_rebalance.migration_cap,
+                   "sessions moved per rebalance round");
+  opts.session_capacity = flags.GetInt("session-capacity", opts.session_capacity,
+                                       "sticky/adaptive session-table bound", 1);
   opts.arrival_gap_us =
-      flags.GetDouble("arrival-gap", 0.0, "inter-arrival gap (µs)", 0.0);
-  opts.max_inflight_batches = flags.GetInt<uint32_t>(
-      "inflight-batches", 1, "async multiget window; 1 = level barrier", 1);
-  opts.repartition_threshold = flags.GetDouble(
-      "repartition-threshold", 0.0, "storage max/min access-rate trigger; <=1 = off");
-  opts.repartition_cap =
-      flags.GetInt<uint32_t>("repartition-cap", 4, "partitions moved per round");
-  opts.partitions_per_server = flags.GetInt<uint32_t>(
-      "partitions-per-server", 8, "virtual partitions per storage server", 1);
-  opts.replication_top_k = flags.GetInt<uint32_t>(
-      "replication-top-k", 0, "hot partitions promoted per round; 0 = off");
-  opts.replica_demote_threshold = flags.GetDouble(
-      "replica-demote-threshold", 0.1, "demote below this share of mean load", 0.0);
-  opts.max_replicas_per_partition = flags.GetInt<uint32_t>(
-      "max-replicas-per-partition", 2, "extra copies per partition (max 3)", 0,
-      PartitionMap::kMaxReplicas);
+      flags.GetDouble("arrival-gap", opts.arrival_gap_us, "inter-arrival gap (µs)", 0.0);
+  opts.max_inflight_batches = flags.GetInt("inflight-batches", opts.max_inflight_batches,
+                                           "async multiget window; 1 = level barrier", 1);
+  opts.repartition.migration.threshold =
+      flags.GetDouble("repartition-threshold", opts.repartition.migration.threshold,
+                      "storage max/min access-rate trigger; <=1 = off");
+  opts.repartition.migration.migration_cap =
+      flags.GetInt("repartition-cap", opts.repartition.migration.migration_cap,
+                   "partitions moved per round");
+  opts.repartition.partitions_per_server =
+      flags.GetInt("partitions-per-server", opts.repartition.partitions_per_server,
+                   "virtual partitions per storage server", 1);
+  opts.repartition.replication_top_k =
+      flags.GetInt("replication-top-k", opts.repartition.replication_top_k,
+                   "hot partitions promoted per round; 0 = off");
+  opts.repartition.replica_demote_threshold = flags.GetDouble(
+      "replica-demote-threshold", opts.repartition.replica_demote_threshold,
+      "demote below this share of mean load", 0.0);
+  opts.repartition.max_replicas_per_partition = flags.GetInt(
+      "max-replicas-per-partition", opts.repartition.max_replicas_per_partition,
+      "extra copies per partition (max 3)", 0, PartitionMap::kMaxReplicas);
+  if (opts.repartition.replication_top_k > 0 &&
+      opts.storage_servers > PartitionMap::kMaxReplicaServers) {
+    std::fprintf(stderr, "--replication-top-k requires --storage <= %u\n",
+                 PartitionMap::kMaxReplicaServers);
+    return 1;
+  }
   opts.adjacency_encoding = encoding_name == "delta_varint"
                                 ? AdjacencyEncoding::kDeltaVarint
                                 : AdjacencyEncoding::kRaw;
@@ -332,30 +346,29 @@ int main(int argc, char** argv) {
   opts.trace_sample_every_n =
       flags.GetInt<uint32_t>("trace-sample-every-n", trace_out.empty() ? 0 : 1,
                              "trace every Nth query; 0 = off");
-  opts.trace_buffer_capacity = flags.GetInt<uint32_t>(
-      "trace-buffer-capacity", 1 << 16, "events per trace ring", 1);
+  opts.trace_buffer_capacity = flags.GetInt(
+      "trace-buffer-capacity", opts.trace_buffer_capacity, "events per trace ring", 1);
   if (!trace_out.empty() && opts.trace_sample_every_n == 0) {
     std::fprintf(stderr, "--trace-out requires --trace-sample-every-n >= 1\n");
     return 1;
   }
-  opts.num_tenants = flags.GetInt<uint32_t>("num-tenants", 1, "tenant keyspaces", 1);
-  opts.tenant_quota_qps = flags.GetDouble("tenant-quota-qps", 0.0,
+  opts.num_tenants = flags.GetInt("num-tenants", opts.num_tenants, "tenant keyspaces", 1);
+  opts.tenant_quota_qps = flags.GetDouble("tenant-quota-qps", opts.tenant_quota_qps,
                                           "per-tenant admission quota (q/s); <=0 = off");
-  opts.tenant_quota_burst =
-      flags.GetDouble("tenant-quota-burst", 32.0, "admission token-bucket burst", 1.0);
+  opts.tenant_quota_burst = flags.GetDouble("tenant-quota-burst", opts.tenant_quota_burst,
+                                            "admission token-bucket burst", 1.0);
   opts.open_loop = flags.Has("open-loop", "open-loop Poisson arrivals on both engines");
   const std::string tenant_metrics_out = flags.Get(
       "tenant-metrics-out", "", "write per-tenant metrics + answer checksum JSON here");
   OpenLoopConfig ol;
   ol.num_tenants = opts.num_tenants;
-  ol.num_arrivals = flags.GetInt<size_t>("arrivals", 8192, "open-loop arrivals");
-  ol.arrival_rate_qps =
-      flags.GetDouble("arrival-rate", 50000.0, "open-loop aggregate q/s", kPositive);
-  ol.tenant_skew = flags.GetDouble("tenant-skew", 1.0, "Zipf skew of tenant rates", 0.0);
-  ol.sessions_per_tenant = flags.GetInt<size_t>("sessions-per-tenant", 1000000,
-                                                "open-loop sessions per tenant", 1);
-  ol.session_skew =
-      flags.GetDouble("session-skew", 1.1, "session popularity exponent", 0.0);
+  ol.num_arrivals = flags.GetInt("arrivals", ol.num_arrivals, "open-loop arrivals");
+  ol.arrival_rate_qps = flags.GetDouble("arrival-rate", ol.arrival_rate_qps,
+                                        "open-loop aggregate q/s", kPositive);
+  ol.tenant_skew =
+      flags.GetDouble("tenant-skew", ol.tenant_skew, "Zipf skew of tenant rates", 0.0);
+  ol.sessions_per_tenant = flags.GetInt("sessions-per-tenant", ol.sessions_per_tenant,
+                                        "open-loop sessions per tenant", 1);
   ol.hops = opts.hops;
   const double mutation_fraction = flags.GetDouble(
       "mutation-fraction", 0.0, "share of open-loop arrivals that write", 0.0, 1.0);
@@ -364,8 +377,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   opts.enable_mutations = mutation_fraction > 0.0;
-  opts.index_refresh_period_us = flags.GetDouble(
-      "index-refresh-period", 0.0, "µs between index-maintenance passes", 0.0);
+  opts.index_refresh_period_us =
+      flags.GetDouble("index-refresh-period", opts.index_refresh_period_us,
+                      "µs between index-maintenance passes", 0.0);
   if (help) {
     std::printf("gRouting experiment CLI\n%s", flags.Help().c_str());
     return 0;

@@ -182,6 +182,8 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
       GROUTING_CHECK_MSG(
           config_.repartition.max_replicas_per_partition <= PartitionMap::kMaxReplicas,
           "max_replicas_per_partition exceeds the map's packing limit");
+      GROUTING_CHECK_MSG(config_.num_storage_servers <= PartitionMap::kMaxReplicaServers,
+                         "replica stamps pack 8-bit server ids");
       storage_->EnableReplication();
     }
   }

@@ -125,15 +125,9 @@ ClusterConfig ExperimentEnv::MakeClusterConfig(const RunOptions& options) {
   config.num_router_shards = options.router_shards;
   config.router_splitter = options.splitter;
   config.gossip_period_us = options.gossip_period_us;
-  config.router_rebalance.threshold = options.rebalance_threshold;
-  config.router_rebalance.migration_cap = options.migration_cap;
+  config.router_rebalance = options.router_rebalance;
   config.router_session_capacity = options.session_capacity;
-  config.repartition.migration.threshold = options.repartition_threshold;
-  config.repartition.migration.migration_cap = options.repartition_cap;
-  config.repartition.partitions_per_server = options.partitions_per_server;
-  config.repartition.replication_top_k = options.replication_top_k;
-  config.repartition.replica_demote_threshold = options.replica_demote_threshold;
-  config.repartition.max_replicas_per_partition = options.max_replicas_per_partition;
+  config.repartition = options.repartition;
   config.trace_sample_every_n = options.trace_sample_every_n;
   config.trace_buffer_capacity = options.trace_buffer_capacity;
   config.arrival_gap_us = options.arrival_gap_us;

@@ -63,26 +63,12 @@ struct RunOptions {
   uint32_t router_shards = 1;
   SplitterKind splitter = SplitterKind::kRoundRobin;
   double gossip_period_us = 200.0;
-  // Adaptive arrival re-splitting (splitter == kAdaptive): migration trigger
-  // ratio (<= 1 disables — adaptive then equals sticky), per-round session
-  // cap, and the sticky/adaptive session-table bound.
-  double rebalance_threshold = 0.0;
-  uint32_t migration_cap = 8;
+  // Adaptive arrival re-splitting (splitter == kAdaptive) and the
+  // sticky/adaptive session-table bound.
+  RebalancePolicy router_rebalance;
   uint32_t session_capacity = 1u << 16;
-  // Storage-tier adaptive repartitioning (src/partition/repartition.h):
-  // migration trigger ratio over per-server decayed access rates (<= 1
-  // disables — the tier then keeps the paper's static hash placement),
-  // per-round partition cap, and the virtual-partition granularity.
-  double repartition_threshold = 0.0;
-  uint32_t repartition_cap = 4;
-  uint32_t partitions_per_server = 8;
-  // Hot-partition replication riding the same planner rounds: promote the
-  // top-k hottest partitions to an extra replica (0 disables), demote
-  // replicas whose rate falls to or below this fraction of the average
-  // per-server load, and cap the extra copies a partition may hold.
-  uint32_t replication_top_k = 0;
-  double replica_demote_threshold = 0.1;
-  uint32_t max_replicas_per_partition = 2;
+  // Storage-tier repartitioning and replication (src/partition/repartition.h).
+  RepartitionConfig repartition;
   // Query-lifecycle tracing (src/obs/): record every Nth query's spans into
   // the engine's trace rings; 0 disables tracing, 1 traces every query.
   uint32_t trace_sample_every_n = 0;

@@ -13,6 +13,11 @@
 namespace grouting {
 namespace {
 
+// Nelder-Mead budget per node; landmarks get 4x this.
+constexpr int kMaxEvalsPerNode = 320;
+// Cyclic refinement rounds over the landmark coordinates.
+constexpr int kLandmarkRefineRounds = 3;
+
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
@@ -62,7 +67,7 @@ GraphEmbedding GraphEmbedding::Build(const LandmarkSet& landmarks,
   std::vector<double> x(emb.dims_);
   std::vector<uint16_t> placed_dists;
   NelderMeadOptions lm_opts;
-  lm_opts.max_evals = config.max_evals_per_node * 4;
+  lm_opts.max_evals = kMaxEvalsPerNode * 4;
   lm_opts.initial_step = 1.0;
 
   for (size_t l = 0; l < L; ++l) {
@@ -96,7 +101,7 @@ GraphEmbedding GraphEmbedding::Build(const LandmarkSet& landmarks,
   std::vector<uint16_t> all_dists(L);
   std::vector<float> others_coords((L - 1) * emb.dims_);
   std::vector<uint16_t> others_dists(L - 1);
-  for (int round = 0; round < config.landmark_refine_rounds; ++round) {
+  for (int round = 0; round < kLandmarkRefineRounds; ++round) {
     for (size_t l = 0; l < L; ++l) {
       size_t w = 0;
       for (size_t j = 0; j < L; ++j) {
@@ -239,7 +244,7 @@ void GraphEmbedding::EmbedNode(NodeId u, const LandmarkSet& landmarks,
 
   RelativeErrorObjective obj{std::span<const float>(anchor_coords), anchor_dists, dims_};
   NelderMeadOptions opts;
-  opts.max_evals = config.max_evals_per_node;
+  opts.max_evals = kMaxEvalsPerNode;
   opts.initial_step = 0.25 * scale;
   NelderMead(obj, std::span<double>(x), opts);
 

@@ -26,13 +26,9 @@ namespace grouting {
 
 struct EmbedConfig {
   size_t dimensions = 10;  // > 0; paper default (error saturates at ~10)
-  // Nelder-Mead budget per node; landmarks get 4x this.
-  int max_evals_per_node = 320;
   // Each node is optimised against its `landmarks_per_node` nearest
   // landmarks (all landmarks would be ~4x slower for <1% error gain); > 0.
   size_t landmarks_per_node = 24;
-  // Cyclic refinement rounds over the landmark coordinates.
-  int landmark_refine_rounds = 3;
   size_t num_threads = 0;  // 0 = hardware concurrency
   uint64_t seed = 11;
 };

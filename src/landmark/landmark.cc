@@ -9,6 +9,9 @@
 namespace grouting {
 namespace {
 
+// Candidate pool size = num_landmarks * kCandidateFactor highest-degree nodes.
+constexpr size_t kCandidateFactor = 6;
+
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
@@ -54,8 +57,7 @@ LandmarkSet LandmarkSet::Select(const Graph& g, const LandmarkConfig& config,
   }
   std::sort(by_degree.begin(), by_degree.end(),
             [&](NodeId a, NodeId b) { return g.Degree(a) > g.Degree(b); });
-  const size_t pool =
-      std::min(by_degree.size(), config.num_landmarks * config.candidate_factor);
+  const size_t pool = std::min(by_degree.size(), config.num_landmarks * kCandidateFactor);
 
   set.stats_.selection_seconds = SecondsSince(select_start);
   const auto bfs_start = std::chrono::steady_clock::now();

@@ -21,10 +21,6 @@ inline constexpr uint16_t kUnreachableU16 = 0xFFFF;
 struct LandmarkConfig {
   size_t num_landmarks = 96;     // paper default
   int32_t min_separation = 3;    // paper default: >= 3 hops apart
-  // Candidate pool size = num_landmarks * candidate_factor highest-degree
-  // nodes; if separation filtering exhausts the pool, the constraint is
-  // relaxed so the requested count is still met when possible.
-  size_t candidate_factor = 6;
   uint64_t seed = 7;
 };
 

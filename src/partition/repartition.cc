@@ -33,7 +33,7 @@ std::vector<uint32_t> PartitionMap::OwnerSnapshot() const {
 
 void PartitionMap::AddReplica(uint32_t partition, uint32_t server) {
   GROUTING_CHECK(partition < num_partitions_ && server < num_servers_);
-  GROUTING_CHECK_MSG(server < 256, "replica stamps pack 8-bit server ids");
+  GROUTING_CHECK_MSG(server < kMaxReplicaServers, "replica stamps pack 8-bit server ids");
   const uint64_t stamp = replicas_[partition].load(std::memory_order_relaxed);
   const uint32_t count = StampReplicaCount(stamp);
   GROUTING_CHECK_MSG(count < kMaxReplicas, "replica set full");

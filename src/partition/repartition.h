@@ -179,6 +179,8 @@ class PartitionMap {
 
   // Most replicas a partition can hold beyond its primary (packing limit).
   static constexpr uint32_t kMaxReplicas = 3;
+  // Most storage servers replication can address (8-bit server ids).
+  static constexpr uint32_t kMaxReplicaServers = 256;
 
   static uint32_t StampReplicaCount(uint64_t stamp) {
     return static_cast<uint32_t>((stamp >> 24) & 0x3u);

@@ -267,12 +267,10 @@ std::vector<std::unique_lock<std::mutex>> ThreadedCluster::LockAllShards() {
   return locks;
 }
 
-void ThreadedCluster::GossipLoop() {
-  const auto period =
-      std::chrono::duration<double, std::micro>(config_.gossip_period_us);
-  // Time base for the index-refresh period gate (wall µs since the loop
-  // started — only differences are compared, so the epoch choice is free).
-  const auto gossip_epoch = Clock::now();
+void ThreadedCluster::GossipLoop(Clock::time_point epoch) {
+  // Rounded up, so that a positive period is never zero clock ticks.
+  const auto period = std::chrono::ceil<Clock::duration>(
+      std::chrono::duration<double, std::micro>(config_.gossip_period_us));
   std::vector<RoutingStrategy*> strategies;
   std::vector<uint64_t> routed(shards_.size(), 0);
   strategies.reserve(shards_.size());
@@ -281,9 +279,12 @@ void ThreadedCluster::GossipLoop() {
   }
   // Runs until Run() has collected the last answer, like the simulator's
   // GossipTick chain, in the same order: router round, storage round, index
-  // maintenance.
-  while (!gossip_stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(period);
+  // maintenance. Tick k is due at epoch + k * period, as in the simulator;
+  // slots that pass while a tick overruns are skipped. (PaceUntil would spin
+  // through a whole short period.)
+  for (int64_t tick = 1; !gossip_stop_.load(std::memory_order_acquire); ++tick) {
+    tick = std::max<int64_t>(tick, (Clock::now() - epoch) / period + 1);
+    std::this_thread::sleep_until(epoch + tick * period);
     if (gossip_stop_.load(std::memory_order_acquire)) {
       break;
     }
@@ -314,7 +315,7 @@ void ThreadedCluster::GossipLoop() {
       // distances, embedding coordinates), so the pass runs with every shard
       // mutex held — race-free against Route() on the shard threads.
       const auto locks = LockAllShards();
-      RunIndexMaintenance(ElapsedUs(gossip_epoch, Clock::now()));
+      RunIndexMaintenance(ElapsedUs(epoch, Clock::now()));
     }
   }
 }
@@ -435,7 +436,7 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
     writer_thread_ = std::thread([this, start] { WriterLoop(start); });
   }
   if (control_tick_enabled()) {
-    gossip_thread_ = std::thread([this] { GossipLoop(); });
+    gossip_thread_ = std::thread([this, start] { GossipLoop(start); });
   }
 
   // Wait for completion, collecting answers as they arrive. Shed arrivals

@@ -102,7 +102,7 @@ class ThreadedCluster : public ClusterEngine {
 
   void FeederLoop(std::span<const Query> queries, Clock::time_point epoch);
   void RouterShardLoop(uint32_t shard);
-  void GossipLoop();
+  void GossipLoop(Clock::time_point epoch);
   void ProcessorLoop(uint32_t p);
   void FetchLoop(uint32_t p);
   // Mutation writer thread (config.enable_mutations with a timed schedule):

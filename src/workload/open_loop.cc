@@ -23,17 +23,20 @@ QueryType DrawOpenLoopType(const OpenLoopConfig& config, Rng& rng) {
   return QueryType::kReachability;
 }
 
-// Bounded-Pareto session rank: P(rank >= k) ~ (k+1)^-skew, clamped to the
-// tenant's session space. Rank 0 is the tenant's hottest session.
-uint64_t DrawSessionRank(uint64_t sessions, double skew, Rng& rng) {
-  if (sessions <= 1 || skew <= 0.0) {
-    return sessions <= 1 ? 0 : rng.NextBounded(sessions);
+// Exponent of the bounded-Pareto session popularity within a tenant.
+constexpr double kSessionSkew = 1.1;
+
+// Bounded-Pareto session rank: P(rank >= k) ~ (k+1)^-kSessionSkew, clamped
+// to the tenant's session space. Rank 0 is the tenant's hottest session.
+uint64_t DrawSessionRank(uint64_t sessions, Rng& rng) {
+  if (sessions <= 1) {
+    return 0;
   }
   double u = rng.NextDouble();
   if (u < 1e-12) {
     u = 1e-12;
   }
-  const double rank = std::pow(u, -1.0 / skew) - 1.0;
+  const double rank = std::pow(u, -1.0 / kSessionSkew) - 1.0;
   if (rank >= static_cast<double>(sessions - 1)) {
     return sessions - 1;
   }
@@ -101,8 +104,7 @@ std::vector<Query> GenerateOpenLoopWorkload(const Graph& g,
     const uint32_t tenant = static_cast<uint32_t>(
         std::lower_bound(cdf.begin(), cdf.end(), pick) - cdf.begin());
 
-    const uint64_t session =
-        DrawSessionRank(config.sessions_per_tenant, config.session_skew, rng);
+    const uint64_t session = DrawSessionRank(config.sessions_per_tenant, rng);
 
     Query q;
     q.type = DrawOpenLoopType(config, rng);

@@ -37,10 +37,9 @@ struct OpenLoopConfig {
   // Zipf exponent over per-tenant rates: tenant t's share of the aggregate
   // rate is proportional to 1/(t+1)^tenant_skew. 0 = uniform shares.
   double tenant_skew = 1.0;
-  // Size of each tenant's implicit session space and the bounded-Pareto
-  // exponent concentrating traffic on its low-rank sessions.
+  // Size of each tenant's implicit session space; a bounded-Pareto draw
+  // concentrates traffic on its low-rank sessions.
   uint64_t sessions_per_tenant = 1000000;
-  double session_skew = 1.1;
   int32_t hops = 2;
   // Relative weights of the three query types (default: uniform mixture).
   double weight_aggregation = 1.0;

@@ -215,8 +215,8 @@ TEST_F(AdaptiveEngineFixture, BothEnginesAnswerExactlyOnceUnderAggressiveRebalan
     opts.dimensions = 6;
     opts.router_shards = 4;
     opts.splitter = SplitterKind::kAdaptive;
-    opts.rebalance_threshold = 1.05;
-    opts.migration_cap = 64;
+    opts.router_rebalance.threshold = 1.05;
+    opts.router_rebalance.migration_cap = 64;
     opts.gossip_period_us = 25.0;
     opts.arrival_gap_us = 2.0;
 

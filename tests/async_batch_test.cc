@@ -213,8 +213,8 @@ TEST_F(AsyncBatchTest, ExactlyOnceUnderMigrationConcurrentRun) {
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed, /*window=*/4);
   opts.router_shards = 3;
   opts.splitter = SplitterKind::kAdaptive;
-  opts.rebalance_threshold = 1.2;
-  opts.migration_cap = 8;
+  opts.router_rebalance.threshold = 1.2;
+  opts.router_rebalance.migration_cap = 8;
   opts.gossip_period_us = 50.0;
   opts.arrival_gap_us = 2.0;
 

@@ -114,8 +114,8 @@ TEST_F(CrossEngineTest, ShardedAdaptiveParityForEveryScheme) {
     RunOptions opts = SmallRun(scheme);
     opts.router_shards = 3;
     opts.splitter = SplitterKind::kAdaptive;
-    opts.rebalance_threshold = 1.2;
-    opts.migration_cap = 8;
+    opts.router_rebalance.threshold = 1.2;
+    opts.router_rebalance.migration_cap = 8;
     opts.gossip_period_us = 50.0;
     opts.arrival_gap_us = 2.0;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
@@ -161,9 +161,9 @@ TEST_F(CrossEngineTest, RepartitioningParityForEveryScheme) {
     RunOptions opts = SmallRun(scheme);
     opts.cache_bytes = 64 << 10;
     opts.max_inflight_batches = 3;
-    opts.repartition_threshold = 1.1;
-    opts.repartition_cap = 4;
-    opts.partitions_per_server = 8;
+    opts.repartition.migration.threshold = 1.1;
+    opts.repartition.migration.migration_cap = 4;
+    opts.repartition.partitions_per_server = 8;
     opts.gossip_period_us = 50.0;
     opts.arrival_gap_us = 2.0;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
@@ -212,18 +212,18 @@ TEST_F(CrossEngineTest, ReplicationParityForEveryScheme) {
     opts.storage_servers = 4;
     opts.cache_bytes = 8 << 10;
     opts.max_inflight_batches = 3;
-    opts.repartition_threshold = 1.1;
-    opts.repartition_cap = 4;
-    opts.partitions_per_server = 8;
-    opts.replication_top_k = 4;
-    opts.max_replicas_per_partition = 3;
-    opts.replica_demote_threshold = 0.05;
+    opts.repartition.migration.threshold = 1.1;
+    opts.repartition.migration.migration_cap = 4;
+    opts.repartition.partitions_per_server = 8;
+    opts.repartition.replication_top_k = 4;
+    opts.repartition.max_replicas_per_partition = 3;
+    opts.repartition.replica_demote_threshold = 0.05;
     opts.gossip_period_us = 50.0;
     opts.arrival_gap_us = 1.0;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
 
     RunOptions off = opts;
-    off.replication_top_k = 0;
+    off.repartition.replication_top_k = 0;
 
     auto sim = MakeClusterEngine(EngineKind::kSimulated, g, config,
                                  env_->MakeStrategy(opts));

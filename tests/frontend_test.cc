@@ -391,7 +391,7 @@ TEST_F(FrontendFixture, ControlTickRuleIsOneTableForBothEngines) {
           RunOptions opts = SmallRun(RoutingSchemeKind::kHash);
           opts.router_shards = shards;
           opts.gossip_period_us = period;
-          opts.repartition_threshold = repartition ? 1.1 : 0.0;
+          opts.repartition.migration.threshold = repartition ? 1.1 : 0.0;
           opts.enable_mutations = mutations;
           opts.arrival_gap_us = 20.0;
           const bool expected = period > 0.0 && (shards > 1 || repartition || mutations);

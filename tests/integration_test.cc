@@ -53,6 +53,41 @@ TEST_F(IntegrationTest, PreprocessingMemoised) {
   EXPECT_EQ(&i1, &i2);
 }
 
+// RunOptions carries both controller policies as whole groups: every member,
+// the tuned defaults that have no CLI flag included, reaches the engine
+// config unchanged. Each value below differs from the member's default.
+TEST_F(IntegrationTest, MakeClusterConfigCarriesPolicyGroupsWhole) {
+  RunOptions opts;
+  opts.router_rebalance = {.threshold = 1.7,
+                           .migration_cap = 3,
+                           .load_decay = 0.55,
+                           .noise_sigmas = 1.25};
+  opts.repartition = {.migration = {.threshold = 1.4,
+                                    .migration_cap = 6,
+                                    .load_decay = 0.65,
+                                    .noise_sigmas = 2.5},
+                      .partitions_per_server = 5,
+                      .replication_top_k = 7,
+                      .replica_demote_threshold = 0.3,
+                      .max_replicas_per_partition = 1};
+
+  const ClusterConfig config = env_->MakeClusterConfig(opts);
+  const RebalancePolicy& rb = config.router_rebalance;
+  EXPECT_EQ(rb.threshold, 1.7);
+  EXPECT_EQ(rb.migration_cap, 3u);
+  EXPECT_EQ(rb.load_decay, 0.55);
+  EXPECT_EQ(rb.noise_sigmas, 1.25);
+  const RepartitionConfig& rp = config.repartition;
+  EXPECT_EQ(rp.migration.threshold, 1.4);
+  EXPECT_EQ(rp.migration.migration_cap, 6u);
+  EXPECT_EQ(rp.migration.load_decay, 0.65);
+  EXPECT_EQ(rp.migration.noise_sigmas, 2.5);
+  EXPECT_EQ(rp.partitions_per_server, 5u);
+  EXPECT_EQ(rp.replication_top_k, 7u);
+  EXPECT_EQ(rp.replica_demote_threshold, 0.3);
+  EXPECT_EQ(rp.max_replicas_per_partition, 1u);
+}
+
 TEST_F(IntegrationTest, SmartRoutingBeatsBaselinesOnHitRate) {
   RunOptions base = SmallRun(RoutingSchemeKind::kNextReady);
   base.num_landmarks = 24;

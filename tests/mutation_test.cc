@@ -297,10 +297,10 @@ TEST_P(MutationStorm, ThreadedMatchesSimExactlyOnceUnderConcurrentChurn) {
   opts.adjacency_encoding = AdjacencyEncoding::kDeltaVarint;
   opts.cache_compressed = true;
   opts.max_inflight_batches = 3;
-  opts.repartition_threshold = 1.1;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 4;
-  opts.replication_top_k = 2;
+  opts.repartition.migration.threshold = 1.1;
+  opts.repartition.migration.migration_cap = 4;
+  opts.repartition.partitions_per_server = 4;
+  opts.repartition.replication_top_k = 2;
   opts.gossip_period_us = 50.0;
   opts.arrival_gap_us = 2.0;
   opts.enable_mutations = true;

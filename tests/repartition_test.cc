@@ -449,14 +449,14 @@ TEST(RepartitionEngineTest, ThreadedAsyncRunIsExactlyOnceUnderMigrations) {
   opts.cache_bytes = 64 << 10;  // small: keeps storage traffic (and the
                                 // monitor signal) alive all run
   opts.max_inflight_batches = 4;
-  opts.repartition_threshold = 1.05;  // migrate at the slightest skew
-  opts.repartition_cap = 8;
-  opts.partitions_per_server = 8;
+  opts.repartition.migration.threshold = 1.05;  // migrate at the slightest skew
+  opts.repartition.migration.migration_cap = 8;
+  opts.repartition.partitions_per_server = 8;
   opts.gossip_period_us = 50.0;
   opts.arrival_gap_us = 2.0;
 
   RunOptions ref_opts = opts;
-  ref_opts.repartition_threshold = 0.0;
+  ref_opts.repartition.migration.threshold = 0.0;
   ref_opts.max_inflight_batches = 1;
 
   const Graph& g = env.graph();
@@ -515,9 +515,9 @@ TEST(RepartitionEngineTest, SimRepartitioningLowersStorageImbalanceUnderSkew) {
   opts.arrival_gap_us = 5.0;
 
   RunOptions on = opts;
-  on.repartition_threshold = 1.15;
-  on.repartition_cap = 4;
-  on.partitions_per_server = 8;
+  on.repartition.migration.threshold = 1.15;
+  on.repartition.migration.migration_cap = 4;
+  on.repartition.partitions_per_server = 8;
 
   const ClusterMetrics off_m = env.Run(EngineKind::kSimulated, opts, queries);
   const ClusterMetrics on_m = env.Run(EngineKind::kSimulated, on, queries);

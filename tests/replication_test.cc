@@ -581,18 +581,18 @@ TEST(ReplicationEngineTest, ThreadedAsyncRunIsExactlyOnceUnderReplication) {
   opts.storage_servers = 4;
   opts.cache_bytes = 64 << 10;
   opts.max_inflight_batches = 4;
-  opts.repartition_threshold = 1.05;
-  opts.repartition_cap = 8;
-  opts.partitions_per_server = 8;
-  opts.replication_top_k = 4;
-  opts.replica_demote_threshold = 0.4;  // churn: demotions fire mid-run too
-  opts.max_replicas_per_partition = 2;
+  opts.repartition.migration.threshold = 1.05;
+  opts.repartition.migration.migration_cap = 8;
+  opts.repartition.partitions_per_server = 8;
+  opts.repartition.replication_top_k = 4;
+  opts.repartition.replica_demote_threshold = 0.4;  // churn: demotions fire mid-run too
+  opts.repartition.max_replicas_per_partition = 2;
   opts.gossip_period_us = 50.0;
   opts.arrival_gap_us = 2.0;
 
   RunOptions ref_opts = opts;
-  ref_opts.repartition_threshold = 0.0;
-  ref_opts.replication_top_k = 0;
+  ref_opts.repartition.migration.threshold = 0.0;
+  ref_opts.repartition.replication_top_k = 0;
   ref_opts.max_inflight_batches = 1;
 
   const Graph& g = env.graph();
@@ -647,16 +647,16 @@ TEST(ReplicationEngineTest, SimReplicationBeatsMigrationOnlyAtHighSkew) {
   opts.processors = 8;
   opts.storage_servers = 4;
   opts.max_inflight_batches = 2;
-  opts.repartition_threshold = 1.15;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
+  opts.repartition.migration.threshold = 1.15;
+  opts.repartition.migration.migration_cap = 4;
+  opts.repartition.partitions_per_server = 8;
   opts.gossip_period_us = 100.0;
   opts.arrival_gap_us = 0.5;
 
   RunOptions rep = opts;
-  rep.replication_top_k = 4;
-  rep.max_replicas_per_partition = 3;
-  rep.replica_demote_threshold = 0.05;
+  rep.repartition.replication_top_k = 4;
+  rep.repartition.max_replicas_per_partition = 3;
+  rep.repartition.replica_demote_threshold = 0.05;
 
   const ClusterMetrics mig_m = env.Run(EngineKind::kSimulated, opts, queries);
   const ClusterMetrics rep_m = env.Run(EngineKind::kSimulated, rep, queries);
@@ -682,16 +682,16 @@ TEST(ReplicationEngineTest, ThreadedReplicationLowersImbalanceAtHighSkew) {
   opts.processors = 8;
   opts.storage_servers = 4;
   opts.max_inflight_batches = 2;
-  opts.repartition_threshold = 1.15;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
+  opts.repartition.migration.threshold = 1.15;
+  opts.repartition.migration.migration_cap = 4;
+  opts.repartition.partitions_per_server = 8;
   opts.gossip_period_us = 100.0;
   opts.arrival_gap_us = 0.5;
 
   RunOptions rep = opts;
-  rep.replication_top_k = 4;
-  rep.max_replicas_per_partition = 3;
-  rep.replica_demote_threshold = 0.05;
+  rep.repartition.replication_top_k = 4;
+  rep.repartition.max_replicas_per_partition = 3;
+  rep.repartition.replica_demote_threshold = 0.05;
 
   const ClusterMetrics mig_m = env.Run(EngineKind::kThreaded, opts, queries);
   const ClusterMetrics rep_m = env.Run(EngineKind::kThreaded, rep, queries);
@@ -716,19 +716,37 @@ TEST(ReplicationEngineTest, SimReplicationIsInertWithoutSkew) {
   opts.processors = 3;
   opts.storage_servers = 4;
   opts.cache_bytes = 64 << 10;
-  opts.repartition_threshold = 1.5;
-  opts.partitions_per_server = 8;
+  opts.repartition.migration.threshold = 1.5;
+  opts.repartition.partitions_per_server = 8;
   opts.gossip_period_us = 100.0;
   opts.arrival_gap_us = 5.0;
 
   RunOptions rep = opts;
-  rep.replication_top_k = 2;
+  rep.repartition.replication_top_k = 2;
 
   const ClusterMetrics mig_m = env.Run(EngineKind::kSimulated, opts, queries);
   const ClusterMetrics rep_m = env.Run(EngineKind::kSimulated, rep, queries);
 
   EXPECT_EQ(rep_m.partitions_replicated, 0u);
   EXPECT_EQ(rep_m, mig_m);
+}
+
+// Replica stamps pack 8-bit server ids: an engine refuses replication over
+// more servers than that up front, instead of failing mid-run at the first
+// promotion onto server 256.
+TEST(ReplicationEngineTest, EngineRejectsReplicationBeyondStampServerIds) {
+  const Graph g = TestGraph();
+  ClusterConfig config;
+  config.num_storage_servers = PartitionMap::kMaxReplicaServers + 1;
+  config.repartition.partitions_per_server = 1;
+  config.repartition.replication_top_k = 1;
+  EXPECT_DEATH(MakeClusterEngine(EngineKind::kSimulated, g, config,
+                                 std::make_unique<HashStrategy>()),
+               "replica stamps pack 8-bit server ids");
+  config.num_storage_servers = PartitionMap::kMaxReplicaServers;
+  EXPECT_NE(MakeClusterEngine(EngineKind::kSimulated, g, config,
+                              std::make_unique<HashStrategy>()),
+            nullptr);
 }
 
 }  // namespace

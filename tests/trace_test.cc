@@ -109,12 +109,12 @@ TEST_F(TraceTest, SimTracingStaysMetricIdenticalWithReplicationEnabled) {
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);
   opts.storage_servers = 4;
   opts.cache_bytes = 8 << 10;
-  opts.repartition_threshold = 1.1;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
-  opts.replication_top_k = 4;
-  opts.max_replicas_per_partition = 3;
-  opts.replica_demote_threshold = 0.05;
+  opts.repartition.migration.threshold = 1.1;
+  opts.repartition.migration.migration_cap = 4;
+  opts.repartition.partitions_per_server = 8;
+  opts.repartition.replication_top_k = 4;
+  opts.repartition.max_replicas_per_partition = 3;
+  opts.repartition.replica_demote_threshold = 0.05;
   opts.gossip_period_us = 50.0;
   opts.arrival_gap_us = 1.0;
 

@@ -21,7 +21,8 @@ police prose:
    table row, derived keys included, has a docs/METRICS.md row too.
 
 4. Every `RunOptions` field (src/core/experiment.h) is set by the CLI: an
-   `opts.<field> = ...` assignment in examples/grouting_cli.cc, so the
+   `opts.<field> = ...` assignment in examples/grouting_cli.cc, or for a
+   nested policy group an `opts.<field>.<member> = ...` one, so the
    README's claim that the CLI exposes every `RunOptions` knob holds.
 
 5. With --cli, the README "CLI reference" table and `grouting_cli --help`
@@ -57,8 +58,9 @@ HELP_FLAG_RE = re.compile(r"^  --([\w-]+)(?:=(\S+))?\s", re.M)
 
 # A field declaration: ends in ';', is not a method/using/friend line.
 FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s*&\]\[]*\s+(\w+)\s*(=[^;]*|\{[^;]*\})?;")
-# A CLI assignment to a RunOptions field: opts.<field> = ... (not ==).
-OPTS_ASSIGN_RE = re.compile(r"\bopts\.(\w+)\s*=(?!=)")
+# A CLI assignment to a RunOptions field, or to a member of a nested group:
+# opts.<field> = ... or opts.<field>.<member> = ... (not ==).
+OPTS_ASSIGN_RE = re.compile(r"\bopts\.(\w+)(?:\.\w+)*\s*=(?!=)")
 
 
 def check_links(root):
